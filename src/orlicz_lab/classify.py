@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import ExtrapolationError, OrliczFunction
-from .grids import DEFAULT_A_POINTS, GrowthSampleGrid
+from .grids import GrowthSampleGrid
 
 SLOPE_TOL = 0.05
 TAIL_FRACTION = 0.3
@@ -173,7 +171,7 @@ def _lsq_slope(u: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(du, y - y.mean()) / var)
 
 
-def _tail_index(n: int, anchored: bool) -> int:
+def _tail_index(n: int) -> int:
     return max(0, n - max(2, math.ceil(TAIL_FRACTION * n)))
 
 
@@ -212,7 +210,7 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid) -> 
             f"A={a:g}: only {len(lx)} trusted grid points, need at least 2"
         )
     ratio = np.asarray(psi.eval_log(lx + log_a)) - 2.0 * np.asarray(psi.eval_log(lx))
-    t0 = _tail_index(len(lx), grid.anchored)
+    t0 = _tail_index(len(lx))
     slope = _lsq_slope(lx[t0:], ratio[t0:])
     tail_max = float(np.max(ratio[t0:]))
     tail_sup = math.exp(tail_max) if tail_max <= 709.0 else math.inf
@@ -257,19 +255,88 @@ def _subgrids(psi: OrliczFunction, grid: GrowthSampleGrid):
     return out
 
 
-def _tail_of(lx: np.ndarray, anchored: bool) -> np.ndarray:
-    return lx[_tail_index(len(lx), anchored):]
+def _tail_of(lx: np.ndarray) -> np.ndarray:
+    return lx[_tail_index(len(lx)):]
 
 
-def _ratio_series(psi, lx, log_beta, anchored):
-    """Doubling-style ratio log Psi(beta x) - log Psi(x) over the tail of the
-    trusted part of the series."""
-    lx = lx[lx + log_beta <= psi.trusted_log_hi + 1e-12]
-    if len(lx) < 2:
-        return None, None
-    t = _tail_of(lx, anchored)
-    vals = np.asarray(psi.eval_log(t + log_beta)) - np.asarray(psi.eval_log(t))
-    return t, vals
+def _ratio(psi, t, factor):
+    return np.asarray(psi.eval_log(t + math.log(factor))) - np.asarray(psi.eval_log(t))
+
+
+def _factor_sweep(psi, grid, factors, series, floor):
+    """(held, factor, score, witness) for the first factor whose series
+    scores at least ``floor`` on the trusted tail of every subgrid, else for
+    the closest factor; None when no tail has enough points.  ``series(psi,
+    t, factor)`` gives a tail's values and score; the lowest score is kept."""
+    subgrids = _subgrids(psi, grid)
+    min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
+    closest = None
+    for factor in factors:
+        log_f = math.log(factor)
+        held, usable = True, False
+        worst, witness = math.inf, ()
+        for _, lx in subgrids:
+            t = _tail_of(lx[lx + log_f <= psi.trusted_log_hi + 1e-12])
+            if len(t) < min_pts:
+                continue
+            usable = True
+            vals, score = series(psi, t, factor)
+            if score < worst:
+                worst, witness = score, tuple(zip(t.tolist(), vals.tolist()))
+            if score < floor:
+                held = False
+        if not usable:
+            continue
+        if held:
+            return True, factor, worst, witness
+        if closest is None or worst > closest[2]:
+            closest = (False, factor, worst, witness)
+    return closest
+
+
+def _negated_ratio_slope(psi, t, factor):
+    vals = _ratio(psi, t, factor)
+    return vals, -_lsq_slope(t, vals)
+
+
+def _ratio_slope(psi, t, factor):
+    vals = _ratio(psi, t, factor)
+    return vals, _lsq_slope(t, vals)
+
+
+def _delta1_margin(psi, t, factor):
+    # log Psi(a x) - (log x + log Psi(x)), in this order, so that the reported
+    # margins keep their rounding
+    vals = np.asarray(psi.eval_log(t + math.log(factor))) - (t + np.asarray(psi.eval_log(t)))
+    return vals, float(np.min(vals))
+
+
+def _conjugate_margin(psi, t, factor):
+    vals = _ratio(psi, t, factor) - math.log(2.0 * factor)
+    return vals, float(np.min(vals))
+
+
+# condition -> (factors, series, floor, factor name, word for a closest factor)
+_SWEEPS = {
+    "delta2": ((2.0,), _negated_ratio_slope, -SLOPE_TOL, "", ""),
+    "delta0": ((2.0, 4.0, 8.0), _ratio_slope, SLOPE_TOL, "beta", "best"),
+    "delta1": ((2.0, 4.0, 8.0, 16.0), _delta1_margin, -1e-9, "alpha", "closest"),
+    "conjugate_delta2": ((2.0, 4.0, 8.0), _conjugate_margin, -1e-12, "beta", "closest"),
+}
+
+
+def _swept_condition(psi, grid, condition) -> ConditionEvidence:
+    factors, series, floor, name, closest_word = _SWEEPS[condition]
+    sweep = _factor_sweep(psi, grid, factors, series, floor)
+    if sweep is None:
+        return ConditionEvidence(condition, "inconclusive", detail="grid too short")
+    held, factor, score, witness = sweep
+    detail = f"{name}={factor:g}" if name else ""
+    if name and not held:
+        detail = f"{closest_word} {detail}"
+    if condition == "delta2":
+        score = -score  # scored by the negated slope; report the slope
+    return ConditionEvidence(condition, "yes" if held else "no", witness, score, detail)
 
 
 def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid) -> ConditionEvidence:
@@ -285,100 +352,11 @@ def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid)
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
-    subgrids = _subgrids(psi, grid)
-    min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
-
-    if condition == "delta2":
-        worst_slope, worst_witness = -math.inf, ()
-        usable = 0
-        for _, lx in subgrids:
-            t, vals = _ratio_series(psi, lx, math.log(2.0), grid.anchored)
-            if t is None or len(t) < min_pts:
-                continue
-            usable += 1
-            slope = _lsq_slope(t, vals)
-            if slope > worst_slope:
-                worst_slope = slope
-                worst_witness = tuple(zip(t.tolist(), vals.tolist()))
-        if usable == 0:
-            return ConditionEvidence("delta2", "inconclusive", detail="grid too short")
-        holds = "yes" if worst_slope <= SLOPE_TOL else "no"
-        return ConditionEvidence("delta2", holds, worst_witness, worst_slope)
-
-    if condition == "delta0":
-        best = None
-        fallback = None
-        for beta in (2.0, 4.0, 8.0):
-            slopes, witness = [], ()
-            usable = 0
-            for _, lx in subgrids:
-                t, vals = _ratio_series(psi, lx, math.log(beta), grid.anchored)
-                if t is None or len(t) < min_pts:
-                    continue
-                usable += 1
-                slopes.append(_lsq_slope(t, vals))
-                witness = tuple(zip(t.tolist(), vals.tolist()))
-            if usable == 0:
-                continue
-            min_slope = min(slopes)
-            record = (min_slope, witness, beta)
-            if fallback is None or min_slope > fallback[0]:
-                fallback = record
-            if min_slope >= SLOPE_TOL:
-                best = record
-                break
-        if best is not None:
-            return ConditionEvidence(
-                "delta0", "yes", best[1], best[0], detail=f"beta={best[2]:g}"
-            )
-        if fallback is None:
-            return ConditionEvidence("delta0", "inconclusive", detail="grid too short")
-        return ConditionEvidence(
-            "delta0", "no", fallback[1], fallback[0], detail=f"best beta={fallback[2]:g}"
-        )
-
-    if condition == "delta1":
-        fallback = None
-        for alpha in (2.0, 4.0, 8.0, 16.0):
-            ok_everywhere = True
-            usable = 0
-            worst_margin, witness = math.inf, ()
-            for _, lx in subgrids:
-                kept = lx[lx + math.log(alpha) <= psi.trusted_log_hi + 1e-12]
-                t = _tail_of(kept, grid.anchored)
-                if len(t) < min_pts:
-                    continue
-                usable += 1
-                lhs = t + np.asarray(psi.eval_log(t))
-                rhs = np.asarray(psi.eval_log(t + math.log(alpha)))
-                margin = float(np.min(rhs - lhs))
-                if margin < worst_margin:
-                    worst_margin = margin
-                    witness = tuple(zip(t.tolist(), (rhs - lhs).tolist()))
-                if margin < -1e-9:
-                    ok_everywhere = False
-            if usable == 0:
-                continue
-            record = (worst_margin, witness, alpha)
-            if fallback is None or worst_margin > fallback[0]:
-                fallback = record
-            if ok_everywhere:
-                return ConditionEvidence(
-                    "delta1", "yes", witness, worst_margin, detail=f"alpha={alpha:g}"
-                )
-        if fallback is None:
-            return ConditionEvidence("delta1", "inconclusive", detail="grid too short")
-        return ConditionEvidence(
-            "delta1",
-            "no",
-            fallback[1],
-            fallback[0],
-            detail=f"closest alpha={fallback[2]:g}",
-        )
+    if condition != "nabla01":
+        return _swept_condition(psi, grid, condition)
 
     # nabla01: convexity of u -> log Psi(e^u) over the tail log-range
-    lx_all = grid.log_x
-    tail = _tail_of(lx_all, grid.anchored)
+    tail = _tail_of(grid.log_x)
     if len(tail) < (MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE):
         return ConditionEvidence("nabla01", "inconclusive", detail="grid too short")
     u = np.linspace(tail[0], tail[-1], 257)
@@ -396,43 +374,7 @@ def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid)
 def check_conjugate_delta2(psi: OrliczFunction, grid: GrowthSampleGrid) -> ConditionEvidence:
     """The sufficient criterion for the conjugate function to be doubling:
     some beta > 1 with Psi(beta x) >= 2 beta Psi(x) on the tail window."""
-    subgrids = _subgrids(psi, grid)
-    min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
-    fallback = None
-    for beta in (2.0, 4.0, 8.0):
-        need = math.log(2.0 * beta)
-        ok_everywhere = True
-        usable = 0
-        worst_margin, witness = math.inf, ()
-        for _, lx in subgrids:
-            t, vals = _ratio_series(psi, lx, math.log(beta), grid.anchored)
-            if t is None or len(t) < min_pts:
-                continue
-            usable += 1
-            margin = float(np.min(vals - need))
-            if margin < worst_margin:
-                worst_margin = margin
-                witness = tuple(zip(t.tolist(), (vals - need).tolist()))
-            if margin < -1e-12:
-                ok_everywhere = False
-        if usable == 0:
-            continue
-        record = (worst_margin, witness, beta)
-        if fallback is None or worst_margin > fallback[0]:
-            fallback = record
-        if ok_everywhere:
-            return ConditionEvidence(
-                "conjugate_delta2", "yes", witness, worst_margin, detail=f"beta={beta:g}"
-            )
-    if fallback is None:
-        return ConditionEvidence("conjugate_delta2", "inconclusive", detail="grid too short")
-    return ConditionEvidence(
-        "conjugate_delta2",
-        "no",
-        fallback[1],
-        fallback[0],
-        detail=f"closest beta={fallback[2]:g}",
-    )
+    return _swept_condition(psi, grid, "conjugate_delta2")
 
 
 def _smallest_power_bound(psi: OrliczFunction, grid: GrowthSampleGrid):
@@ -442,7 +384,7 @@ def _smallest_power_bound(psi: OrliczFunction, grid: GrowthSampleGrid):
         bounded = True
         seen = False
         for _, lx in subgrids:
-            tail = _tail_of(lx, grid.anchored)
+            tail = _tail_of(lx)
             if len(tail) < 2:
                 continue
             seen = True
@@ -478,14 +420,6 @@ def _verdict_from_trends(estimates) -> tuple[str, list[str]]:
     return VERDICT_WEAK, notes
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("ORLICZ_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def classify_injection(
     psi: OrliczFunction,
     grid: GrowthSampleGrid | None = None,
@@ -508,21 +442,11 @@ def classify_injection(
     estimates = []
     failures = []
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(a, pool.submit(estimate_quotient, psi, a, grid)) for a in grid.a_points]
-            for a, fut in futures:
-                try:
-                    estimates.append(fut.result())
-                except GridTooShortError as exc:
-                    failures.append(f"A={a:g}: {exc}")
-    else:
-        for a in grid.a_points:
-            try:
-                estimates.append(estimate_quotient(psi, a, grid))
-            except GridTooShortError as exc:
-                failures.append(f"A={a:g}: {exc}")
+    for a in grid.a_points:
+        try:
+            estimates.append(estimate_quotient(psi, a, grid))
+        except GridTooShortError as exc:
+            failures.append(f"A={a:g}: {exc}")
 
     if failures:
         verdict = VERDICT_INCONCLUSIVE

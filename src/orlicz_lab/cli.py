@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 
-from .classify import InjectionReport, classify_injection
+from .classify import classify_injection
 from .functions import parse_function_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm

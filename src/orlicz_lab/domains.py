@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,9 +184,10 @@ class DiskDomain:
         """Geometric radial panels [1 - 2^-k, 1 - 2^-(k+1)] accumulating at the
         boundary; suited to radial integrands with mass near r = 1.
 
-        k_max is capped at 40 so the innermost panel still resolves in double
-        precision (nodes must stay strictly below 1)."""
-        k_max = min(k_max, 40)
+        k_max above 40 raises: the innermost panel would no longer resolve in
+        double precision (nodes must stay strictly below 1)."""
+        if k_max > 40:
+            raise ValueError(f"k_max={k_max} saturates the boundary refinement (at most 40)")
         r0, w0 = gauss_legendre(32, 0.0, 0.5)
         edges = [1.0 - 2.0**-k for k in range(1, k_max + 1)] + [1.0]
         rp, wp = _panel_chain(edges, nodes_per_panel)

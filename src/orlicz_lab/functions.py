@@ -22,7 +22,6 @@ import numpy as np
 from .logdomain import LOG_DBL_MAX, log_add, log_diff, log_expm1
 
 CONVEXITY_TOL = 1e-9
-INVERSE_REL_TOL = 1e-10
 MAX_BISECT_STEPS = 200
 
 # largest first-knot index sequence allowed before the quartic knot values
@@ -76,7 +75,7 @@ class OrliczFunction:
 
     def inverse_log(self, log_y):
         """log of the preimage of exp(log_y); scalar or array."""
-        return self._inverse_log_bisect(log_y)
+        raise NotImplementedError
 
     def inverse(self, y: float) -> float:
         if y < 0 or not math.isfinite(y):
@@ -84,27 +83,6 @@ class OrliczFunction:
         if y == 0.0:
             return 0.0
         return math.exp(float(self.inverse_log(math.log(y))))
-
-    def _inverse_log_bisect(self, log_y):
-        scalar = np.isscalar(log_y) or np.ndim(log_y) == 0
-        ly = np.atleast_1d(_as_float_array(log_y))
-        out = np.empty_like(ly)
-        for i, target in enumerate(ly):
-            lo, hi = -60.0, 60.0
-            while self.eval_log(lo) > target:
-                lo *= 2.0
-            while self.eval_log(hi) < target:
-                hi *= 2.0
-            for _ in range(MAX_BISECT_STEPS):
-                mid = 0.5 * (lo + hi)
-                if self.eval_log(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < INVERSE_REL_TOL:
-                    break
-            out[i] = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
 
     # -- conjugation --------------------------------------------------------
 

@@ -10,7 +10,7 @@ sawtooth the ratios trace out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class GrowthSampleGrid:
 
     x_points: tuple = ()
     a_points: tuple = DEFAULT_A_POINTS
-    include_knots: bool = True
     anchored: bool = False
 
     def __post_init__(self):
@@ -46,10 +45,6 @@ class GrowthSampleGrid:
     @property
     def log_x(self) -> np.ndarray:
         return np.log(np.asarray(self.x_points))
-
-    def midpoint_logs(self) -> np.ndarray:
-        lx = self.log_x
-        return 0.5 * (lx[1:] + lx[:-1]) if len(lx) > 1 else np.array([])
 
     @classmethod
     def default_for(
@@ -74,7 +69,6 @@ class GrowthSampleGrid:
                 return cls(
                     x_points=tuple(np.exp(lx)),
                     a_points=tuple(a_points),
-                    include_knots=True,
                     anchored=True,
                 )
         a_max = max(a_points)
@@ -86,6 +80,5 @@ class GrowthSampleGrid:
         return cls(
             x_points=tuple(np.geomspace(lo, hi, n_points)),
             a_points=tuple(a_points),
-            include_knots=include_knots,
             anchored=False,
         )

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import estimate_quotient
-from .domains import CircleDomain, DiskDomain, circle, disk, gauss_legendre
+from .classify import check_condition, estimate_quotient
+from .domains import DiskDomain, circle, disk, gauss_legendre
 from .functions import (
     ExpLogSquared,
     ExpMinusOne,
@@ -32,7 +32,6 @@ from .norms import (
     bergman_norm,
     hardy_norm,
     luxemburg_norm,
-    modular,
     morse_transue_evidence,
     weak_tail_check,
 )
@@ -711,8 +710,6 @@ def suite_order_boundedness(psis=None) -> SuiteReport:
             extra={"modulars_at_c4": c4},
         ))
         grid = GrowthSampleGrid.default_for(psi)
-        from .classify import check_condition
-
         d1 = check_condition(psi, "delta1", grid)
         if d1.holds == "yes":
             notes.append(

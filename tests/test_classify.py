@@ -116,6 +116,33 @@ def test_conjugate_delta2():
     assert check_conjugate_delta2(ce, anchored_grid(ce)).holds == "no"
 
 
+def _witness_score(condition, witness):
+    # the number each condition reports as trend_slope, recomputed from the
+    # witness series alone
+    u = np.array([p[0] for p in witness])
+    v = np.array([p[1] for p in witness])
+    if condition in ("delta2", "delta0"):
+        du = u - u.mean()
+        return float(np.dot(du, v - v.mean()) / np.dot(du, du))
+    return float(np.min(v))
+
+
+@pytest.mark.parametrize("psi", [
+    PowerFunction(2), ExpLogSquared(), ExpMinusOne(), build_counterexample(4),
+    build_counterexample(5, 4.5), arg_square(build_counterexample(4)),
+], ids=lambda psi: psi.label)
+@pytest.mark.parametrize("include_knots", [True, False], ids=["default", "dense"])
+def test_witness_produces_trend_slope(psi, include_knots):
+    grid = GrowthSampleGrid.default_for(psi, include_knots=include_knots)
+    assert grid.anchored == (include_knots and len(psi.growth_anchor_logs()) >= 2)
+    evidence = [check_condition(psi, c, grid) for c in ("delta2", "delta0", "delta1")]
+    evidence.append(check_conjugate_delta2(psi, grid))
+    for ev in evidence:
+        assert ev.holds in ("yes", "no"), ev.condition
+        got = _witness_score(ev.condition, ev.witness)
+        assert got == pytest.approx(ev.trend_slope, rel=1e-12, abs=1e-12), ev.condition
+
+
 VERDICTS = {
     "power(p=1)": "compact",
     "power(p=2)": "compact",
@@ -207,15 +234,6 @@ def test_grid_requires_standard_a_points():
     grid = GrowthSampleGrid.default_for(psi, a_points=(2.0, 4.0))
     with pytest.raises(ValueError):
         classify_injection(psi, grid)
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("ORLICZ_LAB_THREADS", "4")
-    rep = classify_injection(build_counterexample(4))
-    assert rep.verdict == "weakly_compact_not_compact"
-    monkeypatch.setenv("ORLICZ_LAB_THREADS", "not_a_number")
-    rep2 = classify_injection(PowerFunction(2))
-    assert rep2.verdict == "compact"
 
 
 def test_grid_without_knots_is_dense():

@@ -68,6 +68,8 @@ def test_boundary_refined_reaches_deep():
     d = DiskDomain.boundary_refined(k_max=40)
     assert np.max(d.r) > 1.0 - 1e-11
     assert np.all(d.r < 1.0)
+    with pytest.raises(ValueError, match="k_max=41"):
+        DiskDomain.boundary_refined(k_max=41)
 
 
 def test_half_resolution_and_refine():

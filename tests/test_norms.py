@@ -242,6 +242,16 @@ def test_morse_transue_membership():
         assert res["verdict"] == "membership evidence"
 
 
+def test_morse_transue_refusing_saturated_refinement():
+    # refining from k_max = 32 would pass k_max = 40, where the rules stop
+    # getting finer and a divergent envelope would look stable
+    env = make_evaluation_envelope(P2)
+    with pytest.raises(ValueError, match="k_max"):
+        morse_transue_evidence(env, P2, dom=DiskDomain.boundary_refined(k_max=32))
+    res = morse_transue_evidence(env, P2, dom=DiskDomain.boundary_refined(k_max=16))
+    assert res["verdict"] == "divergence evidence"
+
+
 def test_envelope_luxemburg_flags_unresolved():
     env = make_evaluation_envelope(P2)
     r = luxemburg_norm(env, P2, DiskDomain.boundary_refined())
