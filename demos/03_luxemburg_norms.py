@@ -60,5 +60,5 @@ r = bergman_norm(make_monomial(5), p2, dom=dk)
 print(f"value {r.value:.12f}")
 print(f"bracket [{r.bracket[0]:.12f}, {r.bracket[1]:.12f}]")
 print(f"modular at value {r.modular_at_value:.12f}")
-print(f"bisection iterations {r.bisection_iters}, quadrature error "
+print(f"root-finder steps {r.bisection_iters}, quadrature error "
       f"estimate {r.quad_error_est:.2e}, converged {r.converged}")

@@ -2,12 +2,16 @@
 
 The Luxemburg norm of f is the smallest C > 0 whose modular, the integral of
 Psi(|f|/C), does not exceed 1.  The modular is monotone non-increasing in C,
-so the norm is found by bisection.  All modular accumulation happens in the
-log domain via logsumexp, which keeps piecewise functions with 1e188-sized
-knot values honest.
+and log M is a monotone function of log C (affine for power functions), so
+the norm is the root of log M(log C) = 0, found by Illinois regula falsi on
+log C with a bisection step whenever the secant leaves the bracket.  The logs
+of |f| and of the weights are taken once per norm; all modular accumulation
+happens in the log domain via logsumexp, which keeps piecewise functions with
+1e188-sized knot values honest.
 
 A function outside the space never produces a silent wrong value: the search
-reports converged=False with an unbounded upper bracket instead.
+reports converged=False with an unbounded upper bracket instead.  Non-finite
+samples and a lower bracket that never closes raise ValueError.
 """
 
 from __future__ import annotations
@@ -15,16 +19,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .domains import CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
-from .logdomain import LOG_DBL_MAX
+from .logdomain import LOG_DBL_MAX, log_sum
 
 TOL_MODULAR = 1e-9
 BRACKET_REL_TOL = 1e-8
 MAX_ITERS = 200
+# relative quadrature error of the modular past which the rule is flagged
+QUAD_REL_TOL = 1e-3
+# steps that grow either end of the initial bracket by a factor of 2
+_BRACKET_STEPS = 80
+_LOG2 = math.log(2.0)
+_LOG_TINY = math.log(1e-300)
 
 DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
 
@@ -34,7 +45,7 @@ class NormResult:
     value: float
     bracket: tuple
     modular_at_value: float
-    bisection_iters: int
+    bisection_iters: int  # root-finder steps (regula falsi or bisection)
     quad_error_est: float
     converged: bool
     argmax_radius: float | None = None
@@ -81,25 +92,33 @@ def _abs_values(f, dom):
     return np.abs(f.values(dom.nodes()))
 
 
+def _log_samples(abs_values, weights):
+    """log|f| and log w on the nodes where |f| > 0; raises ValueError when a
+    sample is not finite."""
+    av = np.asarray(abs_values, dtype=float)
+    bad = int(np.count_nonzero(~np.isfinite(av)))
+    if bad:
+        raise ValueError(f"{bad} of {av.size} sample values are not finite (NaN or inf)")
+    mask = av > 0.0
+    return np.log(av[mask]), np.log(np.asarray(weights, dtype=float)[mask])
+
+
+def _log_modular(psi, log_av, log_w, log_c):
+    """log of the modular at scale exp(log_c): one eval_log and one
+    log-sum-exp; -inf for the zero function."""
+    return log_sum(log_w + np.asarray(psi.eval_log(log_av - log_c)))
+
+
+def _exp_modular(log_m):
+    return math.exp(log_m) if log_m <= LOG_DBL_MAX else math.inf
+
+
 def modular_from_values(psi: OrliczFunction, abs_values, weights, c: float) -> float:
     """Integral of Psi(|f|/c) against the weights; +inf when it leaves double
-    range even in the log domain."""
+    range even in the log domain.  Non-finite samples raise ValueError."""
     if c <= 0:
         raise ValueError("the modular scale c must be positive")
-    av = np.asarray(abs_values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    mask = av > 0.0
-    if not np.any(mask):
-        return 0.0
-    log_t = np.log(av[mask]) - math.log(c)
-    terms = np.log(w[mask]) + np.asarray(psi.eval_log(log_t))
-    m = float(np.max(terms))
-    if not np.isfinite(m):
-        return 0.0 if m == -math.inf else math.inf
-    total = m + math.log(float(np.sum(np.exp(terms - m))))
-    if total > LOG_DBL_MAX:
-        return math.inf
-    return math.exp(total)
+    return _exp_modular(_log_modular(psi, *_log_samples(abs_values, weights), math.log(c)))
 
 
 def modular(f, psi: OrliczFunction, dom, c: float) -> float:
@@ -107,86 +126,132 @@ def modular(f, psi: OrliczFunction, dom, c: float) -> float:
     return modular_from_values(psi, _abs_values(f, dom), _weights_of(dom), c)
 
 
-def _luxemburg_core(psi, abs_values, weights):
-    """Bisection on the monotone modular; returns value, bracket, iteration
-    count, the modular at the returned value, and a convergence flag."""
-    av = np.asarray(abs_values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    peak = float(np.max(av)) if av.size else 0.0
-    if peak == 0.0:
-        return 0.0, (0.0, 0.0), 0, 0.0, True
+class _Root(NamedTuple):
+    value: float
+    bracket: tuple
+    iters: int
+    modular: float
+    converged: bool
+    log_peak: float  # log of the largest |f| sample; -inf for f = 0
 
-    def mod(c):
-        return modular_from_values(psi, av, w, c)
 
-    w_peak = float(w[int(np.argmax(av))])
+def _luxemburg_core(psi, abs_values, weights) -> _Root:
+    """Root of log M(log C) = 0 by Illinois regula falsi on log C, with a
+    bisection step whenever the secant leaves the bracket or an end value is
+    not finite.  Returns the value, its bracket, the root-finder step count,
+    the modular at the value, a convergence flag and log max |f|."""
+    log_av, log_w = _log_samples(abs_values, weights)
+    # callers pass |f| as a temporary: free it rather than hold it next to
+    # its log through the solve
+    del abs_values
+    if log_av.size == 0:
+        return _Root(0.0, (0.0, 0.0), 0, 0.0, True, -math.inf)
+
+    def g(s):
+        return _log_modular(psi, log_av, log_w, s)
+
+    k = int(np.argmax(log_av))
+    log_peak = float(log_av[k])
     # C_lo: the peak node alone already pushes the modular to >= 1
-    c_lo = peak / psi.inverse(min(1.0 / max(w_peak, 1e-300), 1e300))
+    s_lo = log_peak - float(psi.inverse_log(min(-float(log_w[k]), -_LOG_TINY)))
     # C_hi: Psi(peak/C) <= eps bounds the whole modular by eps
-    c_hi = peak / max(psi.inverse(1e-12), 1e-300)
-    for _ in range(80):
-        if mod(c_lo) >= 1.0:
+    s_hi = log_peak - max(float(psi.inverse_log(math.log(1e-12))), _LOG_TINY)
+    for _ in range(_BRACKET_STEPS):
+        g_lo = g(s_lo)
+        if g_lo >= 0.0:
             break
-        c_lo /= 2.0
-    for _ in range(80):
-        if mod(c_hi) <= 1.0:
-            break
-        c_hi *= 2.0
+        s_lo -= _LOG2
     else:
-        return c_hi, (c_lo, math.inf), 80, mod(c_hi), False
+        raise ValueError(
+            f"lower bracket did not close: the modular stays below 1 after "
+            f"{_BRACKET_STEPS} halvings of C (C = {math.exp(s_lo + _LOG2):.3g})"
+        )
+    for _ in range(_BRACKET_STEPS):
+        g_hi = g(s_hi)
+        if g_hi <= 0.0:
+            break
+        s_hi += _LOG2
+    else:
+        c_hi = math.exp(s_hi)
+        return _Root(c_hi, (math.exp(s_lo), math.inf), _BRACKET_STEPS,
+                     _exp_modular(g(s_hi)), False, log_peak)
 
     iters = 0
     converged = False
+    kept = 0  # +1 / -1 when the last step replaced the lower / upper end
     for _ in range(MAX_ITERS):
         iters += 1
-        mid = 0.5 * (c_lo + c_hi)
-        m = mod(mid)
+        s = 0.5 * (s_lo + s_hi)
+        if math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo != g_hi:
+            secant = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
+            if s_lo < secant < s_hi:
+                s = secant
+        g_s = g(s)
+        m = _exp_modular(g_s)
         if abs(m - 1.0) <= TOL_MODULAR:
-            converged = True
-            c_lo = c_hi = mid
-            break
-        if m > 1.0:
-            c_lo = mid
+            value = math.exp(s)
+            return _Root(value, (value, value), iters, m, True, log_peak)
+        if g_s > 0.0:
+            s_lo, g_lo = s, g_s
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
         else:
-            c_hi = mid
-        if (c_hi - c_lo) <= BRACKET_REL_TOL * c_hi:
+            s_hi, g_hi = s, g_s
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        if -math.expm1(s_lo - s_hi) <= BRACKET_REL_TOL:  # c_hi - c_lo <= tol * c_hi
             converged = True
             break
+    c_lo, c_hi = math.exp(s_lo), math.exp(s_hi)
     value = 0.5 * (c_lo + c_hi)
-    return value, (c_lo, c_hi), iters, mod(value), converged
+    return _Root(value, (c_lo, c_hi), iters, _exp_modular(g(math.log(value))), converged,
+                 log_peak)
+
+
+def _norm_result(f, psi, dom, root, r=None, flags=()):
+    """NormResult for a solved root: the modular at the value on the
+    half-resolution companion of dom (nodes dilated by the Hardy radius r)
+    gives the quadrature error."""
+    value, m_at = root.value, root.modular
+    flags = list(flags)
+    if not root.converged:
+        flags.append("not_converged")
+    quad_err = 0.0
+    if value > 0.0 and math.isfinite(value):
+        half = dom.half_resolution()
+        nodes = half.nodes() if r is None else r * half.nodes()
+        m_half = modular_from_values(psi, np.abs(f.values(nodes)), _weights_of(half), value)
+        if math.isfinite(m_half) and math.isfinite(m_at):
+            quad_err = abs(m_half - m_at)
+        else:
+            quad_err = math.inf
+        if quad_err > QUAD_REL_TOL * max(1.0, abs(m_at)):
+            # refinement moves the modular: the rule is not resolving the
+            # integrand (typical of functions outside the space, whose true
+            # modular diverges near the boundary)
+            flags.append("quadrature_unresolved")
+        if psi.is_extrapolated_log(root.log_peak - math.log(value)):
+            # Psi was evaluated past its trusted (knot-covered) range
+            flags.append("extrapolated")
+    return NormResult(
+        value=value,
+        bracket=root.bracket,
+        modular_at_value=m_at,
+        bisection_iters=root.iters,
+        quad_error_est=quad_err,
+        converged=root.converged,
+        argmax_radius=r,
+        flags=tuple(flags),
+    )
 
 
 def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
     """Luxemburg norm of f over the given domain, with a quadrature error
     estimate from a half-resolution companion rule."""
-    av = _abs_values(f, dom)
-    w = _weights_of(dom)
-    value, bracket, iters, m_at, converged = _luxemburg_core(psi, av, w)
-    quad_err = 0.0
-    if value > 0.0 and math.isfinite(value):
-        half = dom.half_resolution()
-        av_h = _abs_values(f, half)
-        w_h = _weights_of(half)
-        m_half = modular_from_values(psi, av_h, w_h, value)
-        if math.isfinite(m_half) and math.isfinite(m_at):
-            quad_err = abs(m_half - m_at)
-        else:
-            quad_err = math.inf
-    flags = () if converged else ("not_converged",)
-    if quad_err > 1e-3 * max(1.0, abs(m_at)):
-        # refinement moves the modular: the rule is not resolving the
-        # integrand (typical of functions outside the space, whose true
-        # modular diverges near the boundary)
-        flags = flags + ("quadrature_unresolved",)
-    return NormResult(
-        value=value,
-        bracket=bracket,
-        modular_at_value=m_at,
-        bisection_iters=iters,
-        quad_error_est=quad_err,
-        converged=converged,
-        flags=flags,
-    )
+    root = _luxemburg_core(psi, _abs_values(f, dom), _weights_of(dom))
+    return _norm_result(f, psi, dom, root)
 
 
 def _circle_for(f, n_theta=None):
@@ -210,10 +275,13 @@ def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormR
 def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
     """sup over r of the circle norm of the dilate f_r(z) = f(r z).
 
-    The supported analytic forms extend continuously to the closed disk, so
-    the default radii include r = 1, where the sup is attained.  The norm is
-    non-decreasing in r for analytic f; violations beyond quadrature noise
-    are flagged, not hidden.
+    The supported analytic forms extend continuously to the closed disk, and
+    for analytic f the norm is non-decreasing in r, so the sup sits at the
+    largest radius: that is the one radius solved outright.  Every other
+    radius costs one modular at the current sup and is solved only when that
+    modular exceeds 1 (its norm is then larger), so the sup and its radius
+    are exact.  A radius whose norm beats the largest radius's by more than
+    quadrature noise is flagged, not hidden.
     """
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
@@ -224,41 +292,24 @@ def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = No
     base_nodes = dom.nodes()
     w = dom.weights
 
-    best = None
-    best_r = None
-    values = []
-    for r in radii:
-        av = np.abs(f.values(r * base_nodes))
-        value, bracket, iters, m_at, converged = _luxemburg_core(psi, av, w)
-        values.append(value)
-        if best is None or value > best[0]:
-            best = (value, bracket, iters, m_at, converged)
-            best_r = r
+    def solve(r):
+        return _luxemburg_core(psi, np.abs(f.values(r * base_nodes)), w)
 
-    flags = []
-    v = np.asarray(values)[np.argsort(radii)]
-    if np.any(np.diff(v) < -1e-4 * np.maximum(v[:-1], 1e-300)):
-        flags.append("radius_monotonicity_violated")
-    if not best[4]:
-        flags.append("not_converged")
-
-    value, bracket, iters, m_at, converged = best
-    quad_err = 0.0
-    if value > 0.0 and math.isfinite(value):
-        half = dom.half_resolution()
-        av_h = np.abs(f.values(best_r * half.nodes()))
-        m_half = modular_from_values(psi, av_h, half.weights, value)
-        quad_err = abs(m_half - m_at) if math.isfinite(m_half) else math.inf
-    return NormResult(
-        value=value,
-        bracket=bracket,
-        modular_at_value=m_at,
-        bisection_iters=iters,
-        quad_error_est=quad_err,
-        converged=converged,
-        argmax_radius=best_r,
-        flags=tuple(flags),
-    )
+    r_max = max(radii)
+    best, best_r = solve(r_max), r_max
+    at_r_max = best.value
+    for r in sorted(set(radii) - {r_max}, reverse=True):
+        if best.value > 0.0:
+            log_m = _log_modular(psi, *_log_samples(np.abs(f.values(r * base_nodes)), w),
+                                 math.log(best.value))
+            if log_m <= 0.0:
+                continue
+        root = solve(r)
+        if root.value > best.value:
+            best, best_r = root, r
+    violated = best.value > at_r_max + 1e-4 * max(at_r_max, 1e-300)
+    return _norm_result(f, psi, dom, best, r=best_r,
+                        flags=("radius_monotonicity_violated",) if violated else ())
 
 
 def circle_norm(f, psi: OrliczFunction, dom: CircleDomain | None = None) -> NormResult:

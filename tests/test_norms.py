@@ -10,8 +10,12 @@ from orlicz_lab.functions import (
     PowerFunction,
     build_counterexample,
 )
+from orlicz_lab import norms
 from orlicz_lab.norms import (
+    DEFAULT_RADII,
     NormResult,
+    _luxemburg_core,
+    _weights_of,
     bergman_norm,
     circle_norm,
     hardy_norm,
@@ -137,7 +141,6 @@ def test_solidity():
     w = dom.weights
     f_vals = np.abs(rng.normal(size=dom.size)) + 0.1
     g_vals = f_vals * (1.0 + np.abs(rng.normal(size=dom.size)))
-    from orlicz_lab.norms import _luxemburg_core
 
     for psi in ALL_PSIS:
         nf = _luxemburg_core(psi, f_vals, w)[0]
@@ -290,3 +293,186 @@ def test_luxemburg_huge_constant_counterexample():
 def test_morse_transue_requires_four_decades():
     with pytest.raises(ValueError):
         morse_transue_evidence(make_monomial(1), P2, c_grid=(1.0, 0.5))
+
+
+# -- root-finder contract ------------------------------------------------------
+
+
+class _SampledFunction:
+    """A stand-in witness with fixed values at every node."""
+
+    analytic = True
+    label = "sampled"
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def values(self, z):
+        return np.full(np.shape(z), self.fill, dtype=complex)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_samples_raise(bad):
+    dom = circle(32)
+    av = np.ones(dom.size)
+    av[[3, 7]] = bad
+    with pytest.raises(ValueError, match="2 of 32 sample values are not finite"):
+        _luxemburg_core(P2, av, dom.weights)
+    f = _SampledFunction(complex(bad, 0.0))
+    with pytest.raises(ValueError, match="32 of 32"):
+        luxemburg_norm(f, P2, dom)
+    with pytest.raises(ValueError, match="not finite"):
+        circle_norm(f, P2, dom=dom)
+    with pytest.raises(ValueError, match="not finite"):
+        bergman_norm(f, P2, dom=disk(16, 8))
+    with pytest.raises(ValueError, match="not finite"):
+        hardy_norm(f, P2, dom=dom)
+
+
+class _FlooredPower(PowerFunction):
+    """x^2 with log Psi capped at -50: no scale C brings the modular to 1."""
+
+    def eval_log(self, log_x):
+        return np.minimum(super().eval_log(log_x), -50.0)
+
+
+def test_unclosed_lower_bracket_raises():
+    dom = circle(32)
+    with pytest.raises(ValueError, match="lower bracket"):
+        _luxemburg_core(_FlooredPower(2), np.ones(dom.size), dom.weights)
+    with pytest.raises(ValueError, match="lower bracket"):
+        luxemburg_norm(make_monomial(3), _FlooredPower(2), dom)
+
+
+def test_hardy_flags_unresolved_quadrature():
+    # the same rule as luxemburg_norm: a modular moved by more than 1e-3
+    # on the half-resolution rule flags the norm
+    psi = build_counterexample(4)
+    r = hardy_norm(make_scaled_kernel(psi, 56.0), psi)
+    assert r.quad_error_est == pytest.approx(0.019, rel=0.05)
+    assert "quadrature_unresolved" in r.flags
+    assert r.converged
+
+
+def test_extrapolated_flag():
+    # value 0.00766 puts Psi's argument near 130.5, past the last knot 112
+    psi = build_counterexample(2)
+    r = bergman_norm(make_kernel_squared(0.001), psi)
+    assert r.value == pytest.approx(0.00766, rel=1e-3)
+    assert "extrapolated" in r.flags
+    assert "extrapolated" not in bergman_norm(make_kernel_squared(1.0 / 32.0), psi).flags
+    # power functions are trusted everywhere
+    for p in (1.0, 2.0, 4.0):
+        for f in (make_kernel_squared(0.001), make_scaled_kernel(P2, 1e6), make_monomial(7)):
+            assert "extrapolated" not in bergman_norm(f, PowerFunction(p)).flags
+            if f.analytic:
+                assert "extrapolated" not in hardy_norm(f, PowerFunction(p)).flags
+
+
+def _mp_psi(mpmath, family, x):
+    if family == "power":
+        return x ** mpmath.mpf("1.5")
+    if family == "exp_minus_one":
+        return mpmath.expm1(x)
+    return mpmath.expm1(mpmath.log1p(x) ** 2)
+
+
+def _mp_luxemburg(family, av, w):
+    """Bisection at 50 digits on the modular written directly in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        av = [mpmath.mpf(float(a)) for a in av]
+        w = [mpmath.mpf(float(x)) for x in w]
+
+        def mod(c):
+            return mpmath.fsum(wi * _mp_psi(mpmath, family, a / c) for a, wi in zip(av, w))
+
+        lo, hi = mpmath.mpf("1e-3"), mpmath.mpf(1e3)
+        assert mod(lo) > 1 > mod(hi)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if mod(mid) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("psi", [PowerFunction(1.5), ExpMinusOne(), ExpLogSquared()],
+                         ids=lambda psi: psi.family)
+def test_core_matches_mpmath_oracle(psi):
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(500)
+    f = make_polynomial(rng.normal(size=5) + 1j * rng.normal(size=5))
+    for dom in (circle(16), disk(8, 4), circle(64)):
+        w = _weights_of(dom)
+        av = np.abs(f.values(dom.nodes()))
+        got = _luxemburg_core(psi, av, w)
+        assert got.converged
+        assert got.value == pytest.approx(_mp_luxemburg(psi.family, av, w), rel=1e-8)
+
+
+def test_power_family_converges_in_two_steps():
+    # log M is affine in log C, so the first secant lands on the root
+    rng = np.random.default_rng(600)
+    for dom in (circle(64), disk(64, 48), DiskDomain.polar(8, 320)):
+        w = _weights_of(dom)
+        for _ in range(4):
+            f = make_polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
+            av = np.abs(f.values(dom.nodes()))
+            for p in (1.0, 1.5, 2.0, 4.0):
+                root = _luxemburg_core(PowerFunction(p), av, w)
+                assert root.converged and root.iters <= 2
+                assert abs(root.modular - 1.0) <= 1e-9
+
+
+def _counting_core(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _luxemburg_core(*args)
+
+    monkeypatch.setattr(norms, "_luxemburg_core", counted)
+    return calls
+
+
+def test_hardy_solves_once_for_monomials(monkeypatch):
+    assert len(DEFAULT_RADII) == 21
+    calls = _counting_core(monkeypatch)
+    for psi in ALL_PSIS:
+        for n in (1, 5, 64):
+            calls.clear()
+            r = hardy_norm(make_monomial(n), psi, dom=circle(64))
+            assert len(calls) == 1
+            assert r.argmax_radius == 1.0
+            assert r.value == pytest.approx(1.0 / psi.inverse(1.0), rel=1e-8)
+
+
+class _ShrinkingDilates:
+    """|f_r| = (3 - 2r)|1 + z/2| on |z| = 1: the dilates shrink toward r = 1,
+    which no analytic function does."""
+
+    analytic = True
+    label = "shrinking_dilates"
+
+    def values(self, z):
+        z = np.asarray(z)
+        return (3.0 - 2.0 * np.abs(z)) * (1.0 + 0.5 * z / np.maximum(np.abs(z), 1e-300))
+
+
+def test_hardy_flags_radius_monotonicity(monkeypatch):
+    f = _ShrinkingDilates()
+    dom = circle(64)
+    for psi in ALL_PSIS:
+        brute = [_luxemburg_core(psi, np.abs(f.values(r * dom.nodes())), dom.weights).value
+                 for r in DEFAULT_RADII]
+        calls = _counting_core(monkeypatch)
+        r = hardy_norm(f, psi, dom=dom)
+        assert "radius_monotonicity_violated" in r.flags
+        assert r.value == max(brute)
+        assert r.argmax_radius == DEFAULT_RADII[int(np.argmax(brute))] == 0.5
+        # solves at r = 1 and at each radius whose modular beats the sup
+        assert 1 < len(calls) <= len(DEFAULT_RADII)
+        monkeypatch.undo()
+    assert "radius_monotonicity_violated" not in hardy_norm(make_monomial(3), P2, dom=dom).flags
