@@ -10,7 +10,6 @@ that produced it and is labeled numerical evidence, never proof.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .functions import ExtrapolationError, OrliczFunction
 from .grids import GrowthSampleGrid
+from .records import Record
 
 SLOPE_TOL = 0.05
 TAIL_FRACTION = 0.3
@@ -44,35 +44,16 @@ class GridTooShortError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConditionEvidence:
+class ConditionEvidence(Record):
     condition: str
     holds: str  # "yes" | "no" | "inconclusive"
     witness: tuple = ()
     trend_slope: float = 0.0
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "witness": [[float(u), float(v)] for u, v in self.witness],
-            "trend_slope": self.trend_slope,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            condition=d["condition"],
-            holds=d["holds"],
-            witness=tuple((u, v) for u, v in d["witness"]),
-            trend_slope=d["trend_slope"],
-            detail=d.get("detail", ""),
-        )
-
 
 @dataclass(frozen=True)
-class QuotientEstimate:
+class QuotientEstimate(Record):
     """Finite-grid evidence about Q_A for one amplification factor."""
 
     a: float
@@ -81,28 +62,9 @@ class QuotientEstimate:
     trend: str
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "a": self.a,
-            "ratio_log": [[float(u), float(v)] for u, v in self.ratio_log],
-            "tail_sup": self.tail_sup,
-            "trend": self.trend,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            a=d["a"],
-            ratio_log=tuple((u, v) for u, v in d["ratio_log"]),
-            tail_sup=d["tail_sup"],
-            trend=d["trend"],
-            detail=d.get("detail", ""),
-        )
-
 
 @dataclass(frozen=True)
-class InjectionReport:
+class InjectionReport(Record):
     function_label: str
     function_spec: dict
     grid_info: dict
@@ -113,39 +75,7 @@ class InjectionReport:
     evidence_label: str = EVIDENCE_LABEL
     notes: tuple = ()
 
-    def to_dict(self):
-        return {
-            "function_label": self.function_label,
-            "function_spec": self.function_spec,
-            "grid_info": self.grid_info,
-            "q_a_table": [q.to_dict() for q in self.q_a_table],
-            "conditions": [c.to_dict() for c in self.conditions],
-            "verdict": self.verdict,
-            "consequences": self.consequences,
-            "evidence_label": self.evidence_label,
-            "notes": list(self.notes),
-        }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            function_label=d["function_label"],
-            function_spec=d["function_spec"],
-            grid_info=d["grid_info"],
-            q_a_table=tuple(QuotientEstimate.from_dict(q) for q in d["q_a_table"]),
-            conditions=tuple(ConditionEvidence.from_dict(c) for c in d["conditions"]),
-            verdict=d["verdict"],
-            consequences=d["consequences"],
-            evidence_label=d.get("evidence_label", EVIDENCE_LABEL),
-            notes=tuple(d.get("notes", ())),
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
+    _nested = {"q_a_table": QuotientEstimate, "conditions": ConditionEvidence}
 
     def csv_rows(self):
         """Flatten the quotient table to (a, log_x, ratio_log) rows."""

@@ -23,7 +23,14 @@ from .functions import parse_function_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
 from .domains import disk
-from .suites import DEFAULT_SEED, SUITE_NAMES, run_all_suites, run_suite
+from .suites import (
+    DEFAULT_SEED,
+    SUITE_NAMES,
+    run_all_suites,
+    run_suite,
+    suite_carleson_window,
+    suite_kernel_bounds,
+)
 from .witnesses import parse_sampled_spec
 
 EXIT_OK = 0
@@ -214,12 +221,8 @@ def cmd_verify(args) -> int:
                 f"unknown suite {args.suite!r}; expected all or one of {', '.join(SUITE_NAMES)}"
             )
         if args.h is not None and args.suite == "kernel":
-            from .suites import suite_kernel_bounds
-
             reports = [suite_kernel_bounds(h_grid=(args.h,))]
         elif args.h is not None and args.suite == "carleson":
-            from .suites import suite_carleson_window
-
             reports = [suite_carleson_window(h_grid=(args.h,))]
         else:
             reports = [run_suite(args.suite, seed=args.seed)]

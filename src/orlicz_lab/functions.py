@@ -216,25 +216,12 @@ class ExpLogSquared(OrliczFunction):
     def __init__(self):
         super().__init__()
 
-    def eval(self, x):
-        if x < 0 or not math.isfinite(x):
-            raise ValueError(f"eval expects a finite x >= 0, got {x!r}")
-        s = math.log1p(x) ** 2
-        if s > LOG_DBL_MAX:
-            raise EvaluationOverflow(f"exp(log(x+1)^2) overflows at x={x:g}")
-        return math.expm1(s)
-
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
         # log(1 + x) computed from log x without forming x
         l1p = np.logaddexp(0.0, lx)
         out = log_expm1(l1p * l1p)
         return float(out) if np.ndim(out) == 0 else out
-
-    def inverse(self, y):
-        if y < 0:
-            raise ValueError("inverse expects y >= 0")
-        return math.expm1(math.sqrt(math.log1p(y)))
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
@@ -255,22 +242,10 @@ class ExpMinusOne(OrliczFunction):
     def __init__(self):
         super().__init__()
 
-    def eval(self, x):
-        if x < 0 or not math.isfinite(x):
-            raise ValueError(f"eval expects a finite x >= 0, got {x!r}")
-        if x > LOG_DBL_MAX:
-            raise EvaluationOverflow(f"exp(x) overflows at x={x:g}")
-        return math.expm1(x)
-
     def eval_log(self, log_x):
         x = np.exp(_as_float_array(log_x))
         out = log_expm1(x)
         return float(out) if np.ndim(out) == 0 else out
-
-    def inverse(self, y):
-        if y < 0:
-            raise ValueError("inverse expects y >= 0")
-        return math.log1p(y)
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
@@ -541,11 +516,6 @@ class SquareComposed(OrliczFunction):
     def eval_log(self, log_x):
         return 2.0 * self.inner.eval_log(log_x)
 
-    def inverse(self, y):
-        if y < 0:
-            raise ValueError("inverse expects y >= 0")
-        return self.inner.inverse(math.sqrt(y))
-
     def inverse_log(self, log_y):
         return self.inner.inverse_log(_as_float_array(log_y) / 2.0)
 
@@ -584,11 +554,6 @@ class ArgSquared(OrliczFunction):
     def eval_log(self, log_x):
         return self.inner.eval_log(2.0 * _as_float_array(log_x))
 
-    def inverse(self, y):
-        if y < 0:
-            raise ValueError("inverse expects y >= 0")
-        return math.sqrt(self.inner.inverse(y))
-
     def inverse_log(self, log_y):
         return _as_float_array(self.inner.inverse_log(log_y)) / 2.0
 
@@ -622,17 +587,11 @@ class ScaledArgument(OrliczFunction):
         self.domain_hint = (lo / c, hi / c)
         self.trusted_log_hi = inner.trusted_log_hi - self._log_c
 
-    def eval(self, x):
-        return self.inner.eval(self.c * x)
-
     def eval_log(self, log_x):
         return self.inner.eval_log(_as_float_array(log_x) + self._log_c)
 
     def inverse_log(self, log_y):
         return _as_float_array(self.inner.inverse_log(log_y)) - self._log_c
-
-    def inverse(self, y):
-        return self.inner.inverse(y) / self.c
 
     def growth_anchor_logs(self):
         return self.inner.growth_anchor_logs() - self._log_c

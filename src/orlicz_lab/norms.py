@@ -16,7 +16,6 @@ samples and a lower bracket that never closes raise ValueError.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,6 +25,7 @@ import numpy as np
 from .domains import CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
 from .logdomain import LOG_DBL_MAX, log_sum
+from .records import Record
 
 TOL_MODULAR = 1e-9
 BRACKET_REL_TOL = 1e-8
@@ -41,7 +41,7 @@ DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
 
 
 @dataclass(frozen=True)
-class NormResult:
+class NormResult(Record):
     value: float
     bracket: tuple
     modular_at_value: float
@@ -50,38 +50,6 @@ class NormResult:
     converged: bool
     argmax_radius: float | None = None
     flags: tuple = ()
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "bracket": [self.bracket[0], self.bracket[1]],
-            "modular_at_value": self.modular_at_value,
-            "bisection_iters": self.bisection_iters,
-            "quad_error_est": self.quad_error_est,
-            "converged": self.converged,
-            "argmax_radius": self.argmax_radius,
-            "flags": list(self.flags),
-        }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            value=d["value"],
-            bracket=(d["bracket"][0], d["bracket"][1]),
-            modular_at_value=d["modular_at_value"],
-            bisection_iters=d["bisection_iters"],
-            quad_error_est=d["quad_error_est"],
-            converged=d["converged"],
-            argmax_radius=d.get("argmax_radius"),
-            flags=tuple(d.get("flags", ())),
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def _weights_of(dom):
@@ -254,16 +222,16 @@ def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
     return _norm_result(f, psi, dom, root)
 
 
-def _circle_for(f, n_theta=None):
+def _circle_for(f):
     if getattr(f, "scale_hint", None):
         return CircleDomain.refined(f.focus_angle or 0.0, f.scale_hint)
-    return circle(n_theta or 512)
+    return circle()
 
 
-def _disk_for(f, n_theta=None, n_radial=None):
+def _disk_for(f):
     if getattr(f, "scale_hint", None):
         return DiskDomain.kernel_refined(f.scale_hint, f.focus_angle or 0.0)
-    return disk(n_theta or 512, n_radial or 128)
+    return disk()
 
 
 def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormResult:

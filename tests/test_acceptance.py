@@ -54,7 +54,7 @@ def _poly_corpus(rng, count, max_degree=20):
 
 
 def test_criterion_1_power_family_oracle():
-    """Luxemburg bisection agrees with direct (integral |f|^p)^(1/p) to 1e-8
+    """Luxemburg root-finder agrees with direct (integral |f|^p)^(1/p) to 1e-8
     for 50 seeded polynomials, p in {1, 2, 4}, circle and disk."""
     t0 = time.time()
     rng = np.random.default_rng(SEED)

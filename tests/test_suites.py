@@ -61,6 +61,17 @@ def test_suite_kernel_passes():
     assert all(c.lhs <= 2.50332 for c in sums)
 
 
+def test_kernel_suite_rejects_unresolved_norm():
+    # the counterexample's Bergman norm of u_0 at h = 1/128 converges but
+    # carries quadrature_unresolved; the floor check must not pass on it
+    rep = suite_kernel_bounds(h_grid=(0.0078125,), psis=(build_counterexample(4),))
+    floor = [c for c in rep.checks if c.description.startswith("disk norm floor")]
+    assert len(floor) == 1
+    assert not floor[0].passed
+    assert "under-resolved" in floor[0].extra["failure"]
+    assert not rep.overall_pass
+
+
 def test_suite_counterexample_passes():
     rep = suite_counterexample()
     assert rep.overall_pass
