@@ -147,7 +147,7 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid) -> 
     detail = f"dropped {dropped} anchor(s) beyond trusted range" if dropped else ""
     return QuotientEstimate(
         a=float(a),
-        ratio_log=tuple((float(u), float(v)) for u, v in zip(lx, ratio)),
+        ratio_log=tuple(zip(lx.tolist(), ratio.tolist())),
         tail_sup=tail_sup,
         trend=_trend_from_slope(slope),
         detail=detail,

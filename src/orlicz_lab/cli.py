@@ -22,6 +22,7 @@ from .classify import classify_injection
 from .functions import parse_function_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
+from .records import dumps
 from .domains import disk
 from .suites import (
     DEFAULT_SEED,
@@ -228,7 +229,7 @@ def cmd_verify(args) -> int:
             reports = [run_suite(args.suite, seed=args.seed)]
     fmt = _default_format(args.format)
     if fmt == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.output)
+        _emit(dumps([r.to_dict() for r in reports]), args.output)
     else:
         _emit("\n\n".join(r.to_text() for r in reports), args.output)
     return EXIT_OK if all(r.overall_pass for r in reports) else EXIT_CHECK_FAILED
@@ -246,7 +247,7 @@ def cmd_report(args) -> int:
     }
     fmt = _default_format(args.format)
     if fmt == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(dumps(payload), args.output)
     else:
         lines = [
             f"function: {classification.function_label}",

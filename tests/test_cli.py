@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from orlicz_lab.classify import classify_injection
 from orlicz_lab.cli import main
+from orlicz_lab.functions import build_counterexample
+from orlicz_lab.grids import GrowthSampleGrid
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +35,15 @@ def test_classify_exp_minus_one(capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["verdict"] == "not_weakly_compact"
+
+
+def test_classify_json_is_indented_json(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--function", "paper_counterexample:4",
+                           "--format", "json")
+    psi = build_counterexample(4)
+    report = classify_injection(psi, GrowthSampleGrid.default_for(psi))
+    assert code == 0
+    assert out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_classify_csv(capsys):

@@ -1,7 +1,13 @@
 """The JSON form of the six result records: key order, round trips, defaults
-for optional keys, and errors for missing required keys."""
+for optional keys, errors for missing required keys, and ``dumps`` writing
+the bytes of ``json.dumps(indent=2)``."""
+
+import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_lab.classify import (
     EVIDENCE_LABEL,
@@ -13,6 +19,7 @@ from orlicz_lab.classify import (
 from orlicz_lab.domains import disk
 from orlicz_lab.functions import PowerFunction, build_counterexample
 from orlicz_lab.norms import NormResult, bergman_norm
+from orlicz_lab.records import dumps
 from orlicz_lab.suites import CheckRecord, SuiteReport, suite_carleson_window
 from orlicz_lab.witnesses import make_monomial
 
@@ -103,3 +110,54 @@ def test_missing_required_key_raises(injection, suite, norm):
     del d["q_a_table"][0]["tail_sup"]
     with pytest.raises(KeyError, match="tail_sup"):
         InjectionReport.from_dict(d)
+
+
+EDGE_CASES = [
+    math.nan, math.inf, -math.inf, -0.0, 0, 7, 1e300, 5e-324, True, False, None, "",
+    [], {}, (), [[]], [[], []], [[1.0], []], [[1.0, 2.0], [3.0]], [[1.0, [2.0]]],
+    [[1.0, [2.0]], 3.0], [[[1.0]]], [[{}]], [[{}, 1.0], [2.0]], [[{"a": 1}]], [[math.nan, -math.inf], [-0.0, math.inf]],
+    [[True, None], [False, 1]], ["], [", "[1, 2]"], [["], [", 1.0]], [["a, b", 1.0]], [[1.0], [2.0], [3.0]],
+    ((1.5, -0.25), (2.5, 0.75)), [[1, 2], (3, 4)], "\u00e9\u2203 \U0001d4d7", "a\nb\t\"c\"\\",
+    {"\u00e9\n": {"x": [], "y": {}}}, {"rows": [[1.0, 2.0]], "nested": {"rows": [[3.0]]}},
+    {1: "int", 2.5: "float", True: "bool", None: "none"}, {"s": 1, 3: [{0.5: [[1.0]]}]},
+    [{-0.0: 1, math.inf: 2, math.nan: 3}],
+]
+
+
+@pytest.mark.parametrize("value", EDGE_CASES, ids=repr)
+def test_dumps_matches_indented_json(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for bad in ({(1, 2): 3}, [[1.0, object()]], {"a": [{"b": {1.0, 2.0}}]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_rows = st.lists(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=4),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    st.one_of(_scalars, _rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=25,
+))
+def test_dumps_matches_indented_json_property(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_record_json_is_indented_json(injection, suite, norm):
+    for record in (injection, suite, norm, CHECK, CONDITION, QUOTIENT):
+        assert record.to_json() == json.dumps(record.to_dict(), indent=2)
