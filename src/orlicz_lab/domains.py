@@ -133,20 +133,12 @@ class DiskDomain:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def polar(cls, n_theta: int = 512, n_radial: int = 128,
-              radial_rule: str = "gauss_legendre") -> "DiskDomain":
-        if radial_rule == "gauss_legendre":
-            r, wr = gauss_legendre(n_radial, 0.0, 1.0)
-        elif radial_rule == "uniform":
-            r = (np.arange(n_radial) + 0.5) / n_radial
-            wr = np.full(n_radial, 1.0 / n_radial)
-        else:
-            raise ValueError(f"unknown radial rule {radial_rule!r}")
+    def polar(cls, n_theta: int = 512, n_radial: int = 128) -> "DiskDomain":
+        r, wr = gauss_legendre(n_radial, 0.0, 1.0)
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         wt = np.full(n_theta, 1.0 / n_theta)
         return cls(r, 2.0 * r * wr, theta, wt, {
             "rule": "polar", "n_theta": n_theta, "n_radial": n_radial,
-            "radial_rule": radial_rule,
         })
 
     @classmethod
@@ -218,7 +210,7 @@ class DiskDomain:
         p = self._params
         if p["rule"] == "polar":
             return DiskDomain.polar(max(p["n_theta"] // 2, 16),
-                                    max(p["n_radial"] // 2, 8), p["radial_rule"])
+                                    max(p["n_radial"] // 2, 8))
         if p["rule"] == "kernel_refined":
             return DiskDomain.kernel_refined(p["scale"], p["focus_angle"],
                                              max(p["n_radial_base"] // 2, 16),
@@ -231,7 +223,7 @@ class DiskDomain:
         p = self._params
         if p["rule"] == "polar":
             return DiskDomain.polar(p["n_theta"] * 2**level,
-                                    p["n_radial"] * 2**level, p["radial_rule"])
+                                    p["n_radial"] * 2**level)
         if p["rule"] == "kernel_refined":
             return DiskDomain.kernel_refined(p["scale"], p["focus_angle"],
                                              p["n_radial_base"] * 2**level,
@@ -247,6 +239,5 @@ def circle(n_theta: int = 512) -> CircleDomain:
     return CircleDomain.uniform(n_theta)
 
 
-def disk(n_theta: int = 512, n_radial: int = 128,
-         radial_rule: str = "gauss_legendre") -> DiskDomain:
-    return DiskDomain.polar(n_theta, n_radial, radial_rule)
+def disk(n_theta: int = 512, n_radial: int = 128) -> DiskDomain:
+    return DiskDomain.polar(n_theta, n_radial)

@@ -260,11 +260,15 @@ class ExpMinusOne(OrliczFunction):
 class PiecewiseAffine(OrliczFunction):
     """Convex piecewise-affine Orlicz function.
 
-    Knots are kept in the log domain; each segment carries its left value and
-    slope both as linear doubles (exact for moderate builds) and as
-    log-magnitudes (for values far outside double range).  Below the first
-    knot the function is linear through the origin; beyond the last knot it
-    continues with ``tail_slope`` and is flagged as extrapolated.
+    Knots are kept both as linear doubles (exact for moderate builds) and as
+    log-magnitudes (for values far outside double range).  Two per-knot
+    tables, ``slopes`` and ``slope_logs``, hold the slope of the piece that
+    starts at knot i and its log; their last entry is the tail slope.  Every
+    evaluator finds the knot interval once (``bisect_right`` or
+    ``searchsorted``) and reads these tables.  Below the first knot the
+    function is linear through the origin with ``init_slope``; beyond the
+    last knot it continues with ``tail_slope`` and is flagged as
+    extrapolated.
     """
 
     family = "piecewise"
@@ -278,7 +282,6 @@ class PiecewiseAffine(OrliczFunction):
         params: dict | None = None,
         primary_anchor_logs=None,
         secondary_anchor_logs=None,
-        exact_knots=None,
         domain_hint=None,
     ):
         super().__init__()
@@ -299,27 +302,24 @@ class PiecewiseAffine(OrliczFunction):
         self.log_xs = np.log(xs)
         self.log_ys = np.log(ys)
 
-        self.init_slope = ys[0] / xs[0]
-        if len(xs) > 1:
-            self.seg_slopes = np.diff(ys) / np.diff(xs)
-            self.seg_slope_logs = log_diff(self.log_ys[1:], self.log_ys[:-1]) - log_diff(
-                self.log_xs[1:], self.log_xs[:-1]
-            )
-            self.seg_slopes = np.atleast_1d(self.seg_slopes)
-            self.seg_slope_logs = np.atleast_1d(self.seg_slope_logs)
-        else:
-            self.seg_slopes = np.array([])
-            self.seg_slope_logs = np.array([])
-
-        last_slope = self.seg_slopes[-1] if len(self.seg_slopes) else self.init_slope
-        self.tail_slope = float(tail_slope) if tail_slope is not None else float(last_slope)
+        # chord slopes from the origin to the first knot and between knots
+        chords = np.diff(ys, prepend=0.0) / np.diff(xs, prepend=0.0)
+        self.init_slope = chords[0]
+        self.init_slope_log = math.log(self.init_slope)
+        self.tail_slope = float(tail_slope) if tail_slope is not None else float(chords[-1])
         if self.tail_slope <= 0:
             raise ValueError("tail slope must be positive")
-        self.tail_slope_log = math.log(self.tail_slope)
+        # entry i is the slope of the piece that starts at knot i; the last
+        # entry is the tail slope
+        self.slopes = np.append(chords[1:], self.tail_slope)
+        self.slope_logs = np.append(
+            log_diff(self.log_ys[1:], self.log_ys[:-1]) - log_diff(self.log_xs[1:], self.log_xs[:-1]),
+            math.log(self.tail_slope),
+        )
 
-        slopes = np.concatenate([[self.init_slope], self.seg_slopes, [self.tail_slope]])
-        rel_drop = np.diff(slopes) / np.maximum.reduce(
-            [np.abs(slopes[:-1]), np.abs(slopes[1:]), np.full(len(slopes) - 1, 1e-300)]
+        chain = np.append(chords, self.tail_slope)
+        rel_drop = np.diff(chain) / np.maximum.reduce(
+            [np.abs(chain[:-1]), np.abs(chain[1:]), np.full(len(chain) - 1, 1e-300)]
         )
         if np.any(rel_drop < -CONVEXITY_TOL):
             raise ValueError("knots do not describe a convex function")
@@ -339,8 +339,6 @@ class PiecewiseAffine(OrliczFunction):
             if secondary_anchor_logs is not None
             else np.array([])
         )
-        # exact integer (x, y) pairs, populated by builders with integral data
-        self.exact_knots = tuple(exact_knots) if exact_knots else ()
 
     # -- evaluation ---------------------------------------------------------
 
@@ -351,45 +349,30 @@ class PiecewiseAffine(OrliczFunction):
             return 0.0
         if x < self.xs[0]:
             return self.init_slope * x
-        if x >= self.xs[-1]:
-            y = self.ys[-1] + self.tail_slope * (x - self.xs[-1])
-        else:
-            i = bisect.bisect_right(self.xs, x) - 1
-            y = self.ys[i] + self.seg_slopes[i] * (x - self.xs[i])
+        i = bisect.bisect_right(self.xs, x) - 1
+        y = self.ys[i] + self.slopes[i] * (x - self.xs[i])
         if math.isinf(y):
             raise EvaluationOverflow(f"{self.label} overflows at x={x:g}; use eval_log")
         return float(y)
 
     def eval_log(self, log_x):
-        scalar = np.ndim(log_x) == 0
-        lx = np.atleast_1d(_as_float_array(log_x))
-        out = np.empty_like(lx)
-
-        below = lx < self.log_xs[0]
-        out[below] = math.log(self.init_slope) + lx[below]
-
-        inside = ~below
-        if np.any(inside):
-            li = lx[inside]
-            idx = np.searchsorted(self.log_xs, li, side="right") - 1
-            idx = np.clip(idx, 0, max(len(self.xs) - 1, 0))
-            base_lx = self.log_xs[idx]
-            base_ly = self.log_ys[idx]
-            n_seg = len(self.seg_slope_logs)
-            slope_log = np.where(
-                idx < n_seg,
-                self.seg_slope_logs[np.minimum(idx, max(n_seg - 1, 0))] if n_seg else self.tail_slope_log,
-                self.tail_slope_log,
-            )
-            # log(x - x_i) assembled without leaving the log domain
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gap = np.log(np.expm1(np.maximum(li - base_lx, 0.0)))
-            run = base_lx + gap
-            val = log_add(base_ly, slope_log + run)
-            # exact knot hits return the stored knot value bitwise
-            val = np.where(li == base_lx, base_ly, val)
-            out[inside] = val
-        return float(out[0]) if scalar else out
+        lx = _as_float_array(log_x)
+        # the line through the origin below the first knot; the transcendental
+        # work runs only on the points at or past it, often a small share
+        out = np.array(self.init_slope_log + lx)
+        on = lx >= self.log_xs[0]
+        li = lx[on]
+        idx = np.searchsorted(self.log_xs, li, side="right") - 1
+        base_lx = self.log_xs[idx]
+        base_ly = self.log_ys[idx]
+        # log(x - x_i) assembled without leaving the log domain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.log(np.expm1(np.maximum(li - base_lx, 0.0)))
+        run = base_lx + gap
+        val = log_add(base_ly, self.slope_logs[idx] + run)
+        # exact knot hits return the stored knot value bitwise
+        out[on] = np.where(li == base_lx, base_ly, val)
+        return float(out) if out.ndim == 0 else out
 
     # -- inversion ----------------------------------------------------------
 
@@ -400,39 +383,21 @@ class PiecewiseAffine(OrliczFunction):
             return 0.0
         if y < self.ys[0]:
             return y / self.init_slope
-        if y >= self.ys[-1]:
-            return float(self.xs[-1] + (y - self.ys[-1]) / self.tail_slope)
         i = bisect.bisect_right(self.ys, y) - 1
-        if y == self.ys[i]:
-            return float(self.xs[i])
-        return float(self.xs[i] + (y - self.ys[i]) / self.seg_slopes[i])
+        return float(self.xs[i] + (y - self.ys[i]) / self.slopes[i])
 
     def inverse_log(self, log_y):
-        scalar = np.ndim(log_y) == 0
-        ly = np.atleast_1d(_as_float_array(log_y))
-        out = np.empty_like(ly)
-
-        below = ly < self.log_ys[0]
-        out[below] = ly[below] - math.log(self.init_slope)
-
-        inside = ~below
-        if np.any(inside):
-            li = ly[inside]
-            idx = np.searchsorted(self.log_ys, li, side="right") - 1
-            idx = np.clip(idx, 0, max(len(self.ys) - 1, 0))
-            base_ly = self.log_ys[idx]
-            base_lx = self.log_xs[idx]
-            n_seg = len(self.seg_slope_logs)
-            slope_log = np.where(
-                idx < n_seg,
-                self.seg_slope_logs[np.minimum(idx, max(n_seg - 1, 0))] if n_seg else self.tail_slope_log,
-                self.tail_slope_log,
-            )
-            rise = log_diff(li, base_ly)
-            val = log_add(base_lx, np.asarray(rise, dtype=float) - slope_log)
-            val = np.where(li == base_ly, base_lx, val)
-            out[inside] = val
-        return float(out[0]) if scalar else out
+        ly = _as_float_array(log_y)
+        out = np.array(ly - self.init_slope_log)
+        on = ly >= self.log_ys[0]
+        li = ly[on]
+        idx = np.searchsorted(self.log_ys, li, side="right") - 1
+        base_ly = self.log_ys[idx]
+        base_lx = self.log_xs[idx]
+        rise = log_diff(li, base_ly)
+        val = log_add(base_lx, rise - self.slope_logs[idx])
+        out[on] = np.where(li == base_ly, base_lx, val)
+        return float(out) if out.ndim == 0 else out
 
     # -- conjugation: exact knot scan --------------------------------------
 
@@ -663,15 +628,12 @@ def build_counterexample(n_max: int = 4, r: float = 4.0) -> PiecewiseAffine:
         r_half_int = int(r) // 2
 
     knots = []
-    exact = []
     primary_logs = []
     secondary_logs = []
     for x in xs_int:
         if r_half_int is not None:
             y_lo = x**r_half_int
             y_hi = x ** (2 * r_half_int)
-            exact.append((x, y_lo))
-            exact.append((2 * x, y_hi))
             knots.append((float(x), float(y_lo)))
             knots.append((float(2 * x), float(y_hi)))
         else:
@@ -687,11 +649,13 @@ def build_counterexample(n_max: int = 4, r: float = 4.0) -> PiecewiseAffine:
         params={"n_max": n_max, "r": float(r)},
         primary_anchor_logs=primary_logs,
         secondary_anchor_logs=secondary_logs,
-        exact_knots=exact,
         domain_hint=(4.0, float(xs_int[-1])),
     )
     # pin the knot log-values to exact multiples of log x_n so that the
-    # quotient at a knot is zero in the log domain, not merely 1e-16 close
+    # quotient at a knot is zero in the log domain, not merely 1e-16 close.
+    # The slope tables were built from the unpinned np.log values and must
+    # stay so: rebuilding them from the pinned logs moves their last bits,
+    # and with them every value between the knots.
     for i, x in enumerate(xs_int):
         lx = math.log(float(x))
         psi.log_ys[2 * i] = 0.5 * r * lx

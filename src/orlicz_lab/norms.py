@@ -361,12 +361,13 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     if max(c_grid) / min(c_grid) < 1e4:
         raise ValueError("c_grid should span at least four decades")
     dom = dom or DiskDomain.boundary_refined(k_max=16)
-    doms = [dom.refine(level) for level in range(levels)]
+    # |f| and the weights are sampled once per rule and shared by every c
+    samples = [(_abs_values(f, d), _weights_of(d)) for d in map(dom.refine, range(levels))]
     table = {}
     diverging = []
     stabilizing = []
     for c in c_grid:
-        vals = [modular(f, psi, d, c) for d in doms]
+        vals = [modular_from_values(psi, av, w, c) for av, w in samples]
         table[f"{c:g}"] = vals
         grows = all(
             (math.isinf(b) and not math.isinf(a)) or (math.isfinite(a) and b > a * 1.05)

@@ -1,0 +1,55 @@
+"""The library surface that the benchmark harness in perfbench/ reads.
+
+The harness is kept fixed between changes to the library, so a refactor that
+renames or removes something it uses (``logdomain.log_add``,
+``DiskDomain.r_weights``, ``CircleDomain.weights``, ``describe()["k_max"]``
+and the like) breaks the benchmark, not the library's own tests.  This test
+runs the harness's traced mode, its micro-timings and a few cheap operations
+of every workload, in one subprocess, and writes nothing under perfbench/.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# per workload, the labels of the operations to run; None is op 0.  Beyond
+# op 0, a non-power disk norm and a circle norm make the harness rebuild the
+# rule from DiskDomain.r_weights and CircleDomain.weights, and an envelope
+# ladder makes it read describe()["k_max"]
+PICKS = {
+    "suite_battery": ("counterexample",),
+    "norm_requests": (None, "bergman:paper_counterexample:constant",
+                      "circle:paper_counterexample:kernel_squared"),
+    "classify_sweep": (None,),
+    "order_evidence": (None, 'morse_transue envelope {"family": "power", "p": 2.0}'),
+}
+
+SCRIPT = f"""
+import tracing
+import workloads
+
+tracing.install(tracing.Tracer())
+tracing.micro_timings(reps=1)
+for name, labels in {PICKS!r}.items():
+    w = workloads.WORKLOADS[name]
+    ops = w.make_ops(1)
+    for label in labels:
+        op = ops[0] if label is None else next(o for o in ops if o.label == label)
+        reason = w.check(op, w.run(op), None)
+        assert reason is None, (name, op.label, reason)
+        print(name, op.label)
+"""
+
+
+def test_perfbench_runs_against_the_library():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    # importing from perfbench/ must leave no bytecode cache there
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == sum(map(len, PICKS.values())), proc.stdout

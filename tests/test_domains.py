@@ -25,11 +25,6 @@ def test_disk_radial_moments_exact():
         assert got == pytest.approx(2.0 / (k + 2), rel=1e-13)
 
 
-def test_uniform_radial_rule_normalized():
-    d = disk(16, 50, radial_rule="uniform")
-    assert abs(np.sum(d.weights()) - 1.0) <= 1e-12
-
-
 def test_circle_trig_exactness():
     # the uniform rule integrates e^{ijt} exactly for 0 < |j| < n
     dom = circle(64)

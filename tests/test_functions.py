@@ -331,3 +331,78 @@ def test_conjugate_power_four_closed_form():
     p4 = PowerFunction(4)
     for y in (1.0, 5.0, 32.0):
         assert p4.conjugate(y) == pytest.approx(3.0 * (y / 4.0) ** (4.0 / 3.0), rel=1e-8)
+
+
+PIECEWISE_ORACLE_CASES = [
+    PiecewiseAffine([(4.0, 16.0)]),
+    PiecewiseAffine([(4.0, 16.0), (8.0, 48.0)], tail_slope=20.0),
+] + [build_counterexample(n_max, r) for n_max in (2, 3, 4, 5) for r in (4.0, 4.1, 5.0)]
+# the evaluators round a handful of times on values of size max(|log x|,
+# |log y|); a few ulps of that scale bound the error
+PIECEWISE_ORACLE_ULPS = 8
+
+
+def _mp_piecewise(mpmath, psi):
+    """Psi and its inverse, written directly in mpmath as the affine
+    interpolant through the stored knot doubles."""
+    xs = [mpmath.mpf(float(v)) for v in psi.xs]
+    ys = [mpmath.mpf(float(v)) for v in psi.ys]
+    slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    slopes.append(mpmath.mpf(psi.tail_slope))
+
+    def fwd(x):
+        if x < xs[0]:
+            return x * ys[0] / xs[0]
+        i = max(k for k, v in enumerate(xs) if v <= x)
+        return ys[i] + slopes[i] * (x - xs[i])
+
+    def inv(y):
+        if y < ys[0]:
+            return y * xs[0] / ys[0]
+        i = max(k for k, v in enumerate(ys) if v <= y)
+        return xs[i] + (y - ys[i]) / slopes[i]
+
+    return fwd, inv
+
+
+def _oracle_points(logs):
+    """Below the first knot, a quarter, half and three quarters into every
+    piece, and on the tail."""
+    pts = [logs[0] - 5.0, logs[0] - 1.0, logs[-1] + 1.0, logs[-1] + 5.0]
+    for a, b in zip(logs[:-1], logs[1:]):
+        pts += [a + t * (b - a) for t in (0.25, 0.5, 0.75)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("psi", PIECEWISE_ORACLE_CASES, ids=lambda psi: psi.label)
+def test_piecewise_log_evaluators_match_mpmath(psi):
+    mpmath = pytest.importorskip("mpmath")
+    fwd, inv = _mp_piecewise(mpmath, psi)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for logs, method, exact in ((psi.log_xs, psi.eval_log, fwd),
+                                    (psi.log_ys, psi.inverse_log, inv)):
+            pts = _oracle_points(logs)
+            got = method(pts)
+            for p, g in zip(pts, got):
+                want = float(mpmath.log(exact(mpmath.exp(mpmath.mpf(float(p))))))
+                scale = max(1.0, abs(float(p)), abs(want))
+                assert abs(g - want) <= PIECEWISE_ORACLE_ULPS * eps * scale, (p, g, want)
+                assert method(float(p)) == g
+
+
+@pytest.mark.parametrize("psi", PIECEWISE_ORACLE_CASES, ids=lambda psi: psi.label)
+def test_piecewise_knots_exact_and_shapes(psi):
+    # at a knot the log evaluators return the stored log value bitwise and
+    # the linear ones the stored knot double
+    assert np.array_equal(psi.eval_log(psi.log_xs), psi.log_ys)
+    assert np.array_equal(psi.inverse_log(psi.log_ys), psi.log_xs)
+    for lx, ly, x, y in zip(psi.log_xs, psi.log_ys, psi.xs, psi.ys):
+        assert psi.eval_log(float(lx)) == ly
+        assert psi.inverse_log(float(ly)) == lx
+        assert psi.eval(float(x)) == y
+        assert psi.inverse(float(y)) == x
+    for method in (psi.eval_log, psi.inverse_log):
+        out = method(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert isinstance(method(1.0), float)
