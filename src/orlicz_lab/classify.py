@@ -6,11 +6,16 @@ exactly when the quotient tends to 0 for every A > 1 and weakly compact
 exactly when it stays finite for every A > 1.  On a finite grid those limits
 become trend classifications; every verdict ships with the witness series
 that produced it and is labeled numerical evidence, never proof.
+
+One classification evaluates Psi once: a single ``eval_log`` call covers
+every abscissa its quotients and condition checks read, and each check reads
+slices of the result.  The checks called on their own build the same table.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +97,15 @@ class InjectionReport(Record):
 def _lsq_slope(u: np.ndarray, y: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(u) < 2:
+    n = len(u)
+    if n < 2:
         return 0.0
-    du = u - u.mean()
+    # the arithmetic of ndarray.mean, without its Python wrapper
+    du = u - np.add.reduce(u) / n
     var = float(np.dot(du, du))
     if var == 0.0:
         return 0.0
-    return float(np.dot(du, y - y.mean()) / var)
+    return float(np.dot(du, y - np.add.reduce(y) / n) / var)
 
 
 def _tail_index(n: int) -> int:
@@ -113,48 +120,7 @@ def _trend_from_slope(slope: float) -> str:
     return TREND_BOUNDED
 
 
-# -- Q_A ----------------------------------------------------------------------
-
-
-def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid) -> QuotientEstimate:
-    """Log-domain estimate of the quotient Psi(A x) / Psi(x)^2 on the grid.
-
-    For anchored grids, points whose amplified abscissa A*x leaves the trusted
-    range are dropped (a structural grid knows where it must stop); for dense
-    grids the same situation is an error naming the offending point.
-    """
-    if a <= 1.0:
-        raise ValueError(f"amplification factor must exceed 1, got {a}")
-    log_a = math.log(a)
-    lx = grid.log_x
-    ok = lx + log_a <= psi.trusted_log_hi + 1e-12
-    dropped = int(np.sum(~ok))
-    if dropped and not grid.anchored:
-        bad = float(np.exp(lx[~ok][0]))
-        raise ExtrapolationError(
-            f"grid point x={bad:g} needs {psi.label} at {a:g}*x, beyond the trusted range"
-        )
-    lx = lx[ok]
-    if len(lx) < 2:
-        raise GridTooShortError(
-            f"A={a:g}: only {len(lx)} trusted grid points, need at least 2"
-        )
-    ratio = np.asarray(psi.eval_log(lx + log_a)) - 2.0 * np.asarray(psi.eval_log(lx))
-    t0 = _tail_index(len(lx))
-    slope = _lsq_slope(lx[t0:], ratio[t0:])
-    tail_max = float(np.max(ratio[t0:]))
-    tail_sup = math.exp(tail_max) if tail_max <= 709.0 else math.inf
-    detail = f"dropped {dropped} anchor(s) beyond trusted range" if dropped else ""
-    return QuotientEstimate(
-        a=float(a),
-        ratio_log=tuple(zip(lx.tolist(), ratio.tolist())),
-        tail_sup=tail_sup,
-        trend=_trend_from_slope(slope),
-        detail=detail,
-    )
-
-
-# -- growth conditions --------------------------------------------------------
+# -- one evaluation of Psi per classification ---------------------------------
 
 
 def _subgrids(psi: OrliczFunction, grid: GrowthSampleGrid):
@@ -185,32 +151,119 @@ def _subgrids(psi: OrliczFunction, grid: GrowthSampleGrid):
     return out
 
 
-def _tail_of(lx: np.ndarray) -> np.ndarray:
-    return lx[_tail_index(len(lx)):]
+SWEEP_FACTORS = (2.0, 4.0, 8.0, 16.0)
 
 
-def _ratio(psi, t, factor):
-    return np.asarray(psi.eval_log(t + math.log(factor))) - np.asarray(psi.eval_log(t))
+class _PsiTable:
+    """log Psi at every abscissa one classification reads, from one call.
+
+    Series 0 is ``grid.log_x``, the others are the subgrids.  ``log_psi[i, f]``
+    is log Psi on series i shifted by log f, for f = 1 (the whole series), for
+    each A in ``a_points`` (series 0) and each sweep factor (the subgrids).  A
+    series is sorted, so the points whose shift stays in the trusted range
+    form a prefix, and only that prefix is kept.  Psi is evaluated per element,
+    so the values equal those of separate ``eval_log`` calls bit for bit.
+    """
+
+    def __init__(self, psi: OrliczFunction, grid: GrowthSampleGrid, a_points=()):
+        self.psi, self.grid = psi, grid
+        self.min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
+        log_x = grid.log_x
+        self.series = [log_x] + [s for _, s in _subgrids(psi, grid)]
+        tail = log_x[_tail_index(len(log_x)):]
+        self.nabla_u = np.linspace(tail[0], tail[-1], 257) if len(tail) >= self.min_pts else tail[:0]
+        hi = psi.trusted_log_hi + 1e-12
+        keys, points = [], [self.nabla_u]
+        for i, s in enumerate(self.series):
+            for f in dict.fromkeys((1.0,) + (tuple(a_points) if i == 0 else SWEEP_FACTORS)):
+                t = s
+                if f != 1.0:
+                    t = s + math.log(f)
+                    t = t[:np.count_nonzero(t <= hi)]
+                keys.append((i, f))
+                points.append(t)
+        values = np.asarray(psi.eval_log(np.concatenate(points)))
+        self.nabla_v, *parts = np.split(values, np.cumsum([len(p) for p in points[:-1]]))
+        self.log_psi = dict(zip(keys, parts))
 
 
-def _factor_sweep(psi, grid, factors, series, floor):
+# the table of the classification in progress: the checks it calls through
+# this module's names read it instead of evaluating Psi again
+_ACTIVE_TABLE: ContextVar[_PsiTable | None] = ContextVar("active_psi_table", default=None)
+
+
+def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=()) -> _PsiTable:
+    table = _ACTIVE_TABLE.get()
+    if (table is None or table.psi is not psi or table.grid is not grid
+            or any((0, a) not in table.log_psi for a in a_points)):
+        table = _PsiTable(psi, grid, a_points)
+    return table
+
+
+# -- Q_A ----------------------------------------------------------------------
+
+
+def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid) -> QuotientEstimate:
+    """Log-domain estimate of the quotient Psi(A x) / Psi(x)^2 on the grid.
+
+    For anchored grids, points whose amplified abscissa A*x leaves the trusted
+    range are dropped (a structural grid knows where it must stop); for dense
+    grids the same situation is an error naming the offending point.
+    """
+    if a <= 1.0:
+        raise ValueError(f"amplification factor must exceed 1, got {a}")
+    table = _table_for(psi, grid, (a,))
+    up = table.log_psi[0, a]
+    lx = table.series[0]
+    n = len(up)
+    dropped = len(lx) - n
+    if dropped and not grid.anchored:
+        bad = float(np.exp(lx[n]))
+        raise ExtrapolationError(
+            f"grid point x={bad:g} needs {psi.label} at {a:g}*x, beyond the trusted range"
+        )
+    lx = lx[:n]
+    if n < 2:
+        raise GridTooShortError(
+            f"A={a:g}: only {n} trusted grid points, need at least 2"
+        )
+    ratio = up - 2.0 * table.log_psi[0, 1.0][:n]
+    t0 = _tail_index(n)
+    slope = _lsq_slope(lx[t0:], ratio[t0:])
+    tail_max = float(np.max(ratio[t0:]))
+    tail_sup = math.exp(tail_max) if tail_max <= 709.0 else math.inf
+    detail = f"dropped {dropped} anchor(s) beyond trusted range" if dropped else ""
+    return QuotientEstimate(
+        a=float(a),
+        ratio_log=tuple(zip(lx.tolist(), ratio.tolist())),
+        tail_sup=tail_sup,
+        trend=_trend_from_slope(slope),
+        detail=detail,
+    )
+
+
+# -- growth conditions --------------------------------------------------------
+
+
+def _factor_sweep(table, factors, series, floor):
     """(held, factor, score, witness) for the first factor whose series
     scores at least ``floor`` on the trusted tail of every subgrid, else for
-    the closest factor; None when no tail has enough points.  ``series(psi,
-    t, factor)`` gives a tail's values and score; the lowest score is kept."""
-    subgrids = _subgrids(psi, grid)
-    min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
+    the closest factor; None when no tail has enough points.  ``series(t, up,
+    base, factor)`` gives a tail's values and score from log Psi at t + log
+    factor (up) and at t (base); the lowest score is kept."""
     closest = None
     for factor in factors:
-        log_f = math.log(factor)
         held, usable = True, False
         worst, witness = math.inf, ()
-        for _, lx in subgrids:
-            t = _tail_of(lx[lx + log_f <= psi.trusted_log_hi + 1e-12])
-            if len(t) < min_pts:
+        for i in range(1, len(table.series)):
+            up = table.log_psi[i, factor]
+            n = len(up)
+            t0 = _tail_index(n)
+            if n - t0 < table.min_pts:
                 continue
             usable = True
-            vals, score = series(psi, t, factor)
+            t = table.series[i][t0:n]
+            vals, score = series(t, up[t0:], table.log_psi[i, 1.0][t0:n], factor)
             if score < worst:
                 worst, witness = score, tuple(zip(t.tolist(), vals.tolist()))
             if score < floor:
@@ -224,25 +277,25 @@ def _factor_sweep(psi, grid, factors, series, floor):
     return closest
 
 
-def _negated_ratio_slope(psi, t, factor):
-    vals = _ratio(psi, t, factor)
+def _negated_ratio_slope(t, up, base, factor):
+    vals = up - base
     return vals, -_lsq_slope(t, vals)
 
 
-def _ratio_slope(psi, t, factor):
-    vals = _ratio(psi, t, factor)
+def _ratio_slope(t, up, base, factor):
+    vals = up - base
     return vals, _lsq_slope(t, vals)
 
 
-def _delta1_margin(psi, t, factor):
+def _delta1_margin(t, up, base, factor):
     # log Psi(a x) - (log x + log Psi(x)), in this order, so that the reported
     # margins keep their rounding
-    vals = np.asarray(psi.eval_log(t + math.log(factor))) - (t + np.asarray(psi.eval_log(t)))
+    vals = up - (t + base)
     return vals, float(np.min(vals))
 
 
-def _conjugate_margin(psi, t, factor):
-    vals = _ratio(psi, t, factor) - math.log(2.0 * factor)
+def _conjugate_margin(t, up, base, factor):
+    vals = (up - base) - math.log(2.0 * factor)
     return vals, float(np.min(vals))
 
 
@@ -250,14 +303,14 @@ def _conjugate_margin(psi, t, factor):
 _SWEEPS = {
     "delta2": ((2.0,), _negated_ratio_slope, -SLOPE_TOL, "", ""),
     "delta0": ((2.0, 4.0, 8.0), _ratio_slope, SLOPE_TOL, "beta", "best"),
-    "delta1": ((2.0, 4.0, 8.0, 16.0), _delta1_margin, -1e-9, "alpha", "closest"),
+    "delta1": (SWEEP_FACTORS, _delta1_margin, -1e-9, "alpha", "closest"),
     "conjugate_delta2": ((2.0, 4.0, 8.0), _conjugate_margin, -1e-12, "beta", "closest"),
 }
 
 
 def _swept_condition(psi, grid, condition) -> ConditionEvidence:
     factors, series, floor, name, closest_word = _SWEEPS[condition]
-    sweep = _factor_sweep(psi, grid, factors, series, floor)
+    sweep = _factor_sweep(_table_for(psi, grid), factors, series, floor)
     if sweep is None:
         return ConditionEvidence(condition, "inconclusive", detail="grid too short")
     held, factor, score, witness = sweep
@@ -286,11 +339,11 @@ def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid)
         return _swept_condition(psi, grid, condition)
 
     # nabla01: convexity of u -> log Psi(e^u) over the tail log-range
-    tail = _tail_of(grid.log_x)
-    if len(tail) < (MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE):
+    table = _table_for(psi, grid)
+    u = table.nabla_u
+    if len(u) == 0:
         return ConditionEvidence("nabla01", "inconclusive", detail="grid too short")
-    u = np.linspace(tail[0], tail[-1], 257)
-    v = np.asarray(psi.eval_log(u))
+    v = table.nabla_v
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
     min_d2 = float(np.min(d2))
     holds = "yes" if min_d2 >= -NABLA_TOL else "no"
@@ -307,22 +360,17 @@ def check_conjugate_delta2(psi: OrliczFunction, grid: GrowthSampleGrid) -> Condi
     return _swept_condition(psi, grid, "conjugate_delta2")
 
 
-def _smallest_power_bound(psi: OrliczFunction, grid: GrowthSampleGrid):
+def _smallest_power_bound(table: _PsiTable):
     """Smallest tested integer q with evidence that Psi(x) = O(x**q)."""
-    subgrids = _subgrids(psi, grid)
+    tails = []
+    for i, s in enumerate(table.series[1:], 1):
+        t0 = _tail_index(len(s))
+        if len(s) >= 2:
+            tails.append((s[t0:], table.log_psi[i, 1.0][t0:]))
+    if not tails:
+        return None
     for q in range(1, 13):
-        bounded = True
-        seen = False
-        for _, lx in subgrids:
-            tail = _tail_of(lx)
-            if len(tail) < 2:
-                continue
-            seen = True
-            vals = np.asarray(psi.eval_log(tail)) - q * tail
-            if _lsq_slope(tail, vals) > SLOPE_TOL:
-                bounded = False
-                break
-        if seen and bounded:
+        if not any(_lsq_slope(tail, vals - q * tail) > SLOPE_TOL for tail, vals in tails):
             return q
     return None
 
@@ -372,11 +420,18 @@ def classify_injection(
     estimates = []
     failures = []
 
-    for a in grid.a_points:
-        try:
-            estimates.append(estimate_quotient(psi, a, grid))
-        except GridTooShortError as exc:
-            failures.append(f"A={a:g}: {exc}")
+    table = _PsiTable(psi, grid, grid.a_points)
+    token = _ACTIVE_TABLE.set(table)
+    try:
+        for a in grid.a_points:
+            try:
+                estimates.append(estimate_quotient(psi, a, grid))
+            except GridTooShortError as exc:
+                failures.append(f"A={a:g}: {exc}")
+        conditions = tuple(check_condition(psi, c, grid) for c in CONDITIONS)
+        conj = check_conjugate_delta2(psi, grid)
+    finally:
+        _ACTIVE_TABLE.reset(token)
 
     if failures:
         verdict = VERDICT_INCONCLUSIVE
@@ -384,9 +439,6 @@ def classify_injection(
     else:
         verdict, trend_notes = _verdict_from_trends(estimates)
         notes.extend(trend_notes)
-
-    conditions = tuple(check_condition(psi, c, grid) for c in CONDITIONS)
-    conj = check_conjugate_delta2(psi, grid)
 
     if verdict == VERDICT_COMPACT:
         assert all(e.trend == TREND_DOWN for e in estimates)
@@ -415,7 +467,7 @@ def classify_injection(
     consequences = {
         "morse_transue_inclusion": verdict in (VERDICT_COMPACT, VERDICT_WEAK),
         "dunford_pettis_note": dp_note,
-        "summing_bound_q": _smallest_power_bound(psi, grid),
+        "summing_bound_q": _smallest_power_bound(table),
         "order_bounded_weak": True,
         "order_bounded_strong": delta1.holds == "yes",
         "conjugate_delta2": {"holds": conj.holds, "detail": conj.detail},

@@ -152,7 +152,10 @@ def cmd_classify(args) -> int:
         kwargs["x_hi"] = args.x_hi
     if args.points is not None:
         kwargs["n_points"] = args.points
-    grid = GrowthSampleGrid.default_for(psi, **kwargs)
+    try:
+        grid = GrowthSampleGrid.default_for(psi, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = classify_injection(psi, grid)
     fmt = _default_format(args.format)
     if fmt == "json":

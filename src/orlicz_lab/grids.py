@@ -50,15 +50,19 @@ class GrowthSampleGrid:
     def default_for(
         cls,
         psi: OrliczFunction,
-        n_points: int = 200,
+        n_points: int | None = None,
         a_points: tuple = DEFAULT_A_POINTS,
         include_knots: bool = True,
         x_lo: float | None = None,
         x_hi: float | None = None,
     ) -> "GrowthSampleGrid":
         """Grid adapted to the function: knot anchors when it has them, a
-        geometric grid capped so that max(A) * x stays inside the trusted
-        range otherwise."""
+        geometric grid of ``n_points`` (default 200) capped so that max(A) * x
+        stays inside the trusted range otherwise.
+
+        A window or point count asked for explicitly is used as given or
+        refused: an anchored grid has no window, and x_lo must lie below x_hi.
+        """
         anchors = psi.growth_anchor_logs()
         hint_lo, hint_hi = psi.domain_hint
         if include_knots and len(anchors) >= 2:
@@ -66,6 +70,11 @@ class GrowthSampleGrid:
             keep = lx <= math.log(hint_hi) + 1e-12
             lx = lx[keep]
             if len(lx) >= 2:
+                if (x_lo, x_hi, n_points) != (None, None, None):
+                    raise ValueError(
+                        f"{psi.label} is classified on its knot anchors; x_lo, x_hi"
+                        " and n_points apply only to a grid without knots"
+                    )
                 return cls(
                     x_points=tuple(np.exp(lx)),
                     a_points=tuple(a_points),
@@ -76,9 +85,11 @@ class GrowthSampleGrid:
         hi = x_hi if x_hi is not None else min(hint_hi, 1e6, math.exp(min(cap_log, 700.0)))
         lo = x_lo if x_lo is not None else max(hint_lo, 1.0)
         if lo >= hi:
+            if x_lo is not None or x_hi is not None:
+                raise ValueError(f"x_lo={lo:g} must be below x_hi={hi:g}")
             lo = hi / 1e3
         return cls(
-            x_points=tuple(np.geomspace(lo, hi, n_points)),
+            x_points=tuple(np.geomspace(lo, hi, 200 if n_points is None else n_points)),
             a_points=tuple(a_points),
             anchored=False,
         )

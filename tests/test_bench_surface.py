@@ -17,13 +17,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # per workload, the labels of the operations to run; None is op 0.  Beyond
 # op 0, a non-power disk norm and a circle norm make the harness rebuild the
-# rule from DiskDomain.r_weights and CircleDomain.weights, and an envelope
-# ladder makes it read describe()["k_max"]
+# rule from DiskDomain.r_weights and CircleDomain.weights, an envelope ladder
+# makes it read describe()["k_max"], and a counterexample and a composition
+# drive the traced classifier through an anchored grid that drops anchors and
+# through an inner eval_log (op 0 of classify_sweep is a power function)
 PICKS = {
     "suite_battery": ("counterexample",),
     "norm_requests": (None, "bergman:paper_counterexample:constant",
                       "circle:paper_counterexample:kernel_squared"),
-    "classify_sweep": (None,),
+    "classify_sweep": (None, '{"family": "paper_counterexample", "n_max": 4, "r": 4.0}',
+                       '{"family": "arg_square", "inner": {"family": "exp_log_squared"}}'),
     "order_evidence": (None, 'morse_transue envelope {"family": "power", "p": 2.0}'),
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orlicz_lab.classify import (
+    CONDITIONS,
     InjectionReport,
     QuotientEstimate,
     _verdict_from_trends,
@@ -21,6 +22,7 @@ from orlicz_lab.functions import (
     build_counterexample,
     counterexample_knot_points,
     scale_argument,
+    square_compose,
 )
 from orlicz_lab.grids import GrowthSampleGrid
 
@@ -264,3 +266,145 @@ def test_quotient_rejects_small_a():
     grid = GrowthSampleGrid.default_for(psi)
     with pytest.raises(ValueError):
         estimate_quotient(psi, 1.0, grid)
+
+
+def test_default_for_refuses_an_inverted_window():
+    psi = PowerFunction(2)
+    with pytest.raises(ValueError, match=r"x_lo=100 must be below x_hi=10"):
+        GrowthSampleGrid.default_for(psi, x_lo=100.0, x_hi=10.0, n_points=5)
+    with pytest.raises(ValueError, match=r"x_lo=1e\+09 must be below x_hi=1e\+06"):
+        GrowthSampleGrid.default_for(psi, x_lo=1e9)
+    grid = GrowthSampleGrid.default_for(psi, x_lo=10.0, x_hi=100.0, n_points=5)
+    assert (grid.x_points[0], grid.x_points[-1], len(grid.x_points)) == (10.0, 100.0, 5)
+
+
+def test_default_for_falls_back_only_for_a_default_window():
+    # a default window that closes up still gets the automatic hi/1e3 floor
+    psi = scale_argument(PowerFunction(2), 1e13)  # domain hint ends at x = 0.1
+    grid = GrowthSampleGrid.default_for(psi)
+    assert grid.x_points[-1] == pytest.approx(0.1)
+    assert grid.x_points[0] == pytest.approx(grid.x_points[-1] / 1e3)
+
+
+@pytest.mark.parametrize("kwargs", [{"x_lo": 100.0}, {"x_hi": 1000.0}, {"n_points": 5},
+                                    {"x_lo": 100.0, "x_hi": 1000.0}])
+def test_default_for_refuses_a_window_on_knot_anchors(kwargs):
+    psi = build_counterexample(4)
+    with pytest.raises(ValueError, match="classified on its knot anchors"):
+        GrowthSampleGrid.default_for(psi, **kwargs)
+    dense = GrowthSampleGrid.default_for(psi, include_knots=False, **kwargs)
+    assert not dense.anchored
+
+
+def _counted_eval_log(monkeypatch, psi):
+    calls = []
+    inner = psi.eval_log
+
+    def counted(log_x):
+        calls.append(np.size(log_x))
+        return inner(log_x)
+
+    monkeypatch.setattr(psi, "eval_log", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("psi", [PowerFunction(3.3), build_counterexample(4, 5.5),
+                                 arg_square(build_counterexample(4))],
+                         ids=lambda psi: psi.label)
+def test_classification_evaluates_psi_once(monkeypatch, psi):
+    grid = GrowthSampleGrid.default_for(psi)
+    calls = _counted_eval_log(monkeypatch, psi)
+    rep = classify_injection(psi, grid)
+    assert 1 <= len(calls) <= 2
+    # each check called on its own builds its own table and agrees
+    by_a = {q.a: q for q in rep.q_a_table}
+    for a in grid.a_points:
+        assert estimate_quotient(psi, a, grid).to_dict() == by_a[a].to_dict()
+    for c, ev in zip(CONDITIONS, rep.conditions):
+        assert check_condition(psi, c, grid).to_dict() == ev.to_dict()
+    assert check_conjugate_delta2(psi, grid).to_dict() == rep.conditions[-1].to_dict()
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _direct_witness_values(psi, ev):
+    # the values a swept condition reports, from eval_log at its abscissas
+    t = np.array([p[0] for p in ev.witness])
+    factor = float(ev.detail.split("=")[1]) if ev.detail else 2.0
+    up = np.asarray(psi.eval_log(t + math.log(factor)))
+    base = np.asarray(psi.eval_log(t))
+    assert np.all(t + math.log(factor) <= psi.trusted_log_hi + 1e-12)
+    if ev.condition == "delta1":
+        return up - (t + base)
+    if ev.condition == "conjugate_delta2":
+        return (up - base) - math.log(2.0 * factor)
+    return up - base
+
+
+def _oracle_case(name, psi, **grid_kwargs):
+    return pytest.param(name, psi, GrowthSampleGrid.default_for(psi, **grid_kwargs), id=name)
+
+
+ORACLE_CASES = [
+    # r_max for n_max = 5 is about 6.51
+    _oracle_case("top_anchors_dropped", build_counterexample(5, 6.5)),
+    _oracle_case("delta1_alpha16", square_compose(PowerFunction(2.5))),
+    _oracle_case("dense_exp_log_squared", ExpLogSquared()),
+    _oracle_case("dense_counterexample", build_counterexample(4), include_knots=False),
+]
+
+
+@pytest.mark.parametrize("name,psi,grid", ORACLE_CASES)
+def test_report_values_match_direct_evaluation(name, psi, grid):
+    rep = classify_injection(psi, grid)
+    lx = grid.log_x
+    for q in rep.q_a_table:
+        trusted = lx[lx + math.log(q.a) <= psi.trusted_log_hi + 1e-12]
+        got = np.array(q.ratio_log)
+        want = (np.asarray(psi.eval_log(trusted + math.log(q.a)))
+                - 2.0 * np.asarray(psi.eval_log(trusted)))
+        assert _same_bits(got[:, 0], trusted)
+        assert _same_bits(got[:, 1], want), q.a
+        assert ("dropped" in q.detail) == (len(trusted) < len(lx))
+    for ev in rep.conditions:
+        assert ev.witness, ev.condition
+        got = np.array([p[1] for p in ev.witness])
+        if ev.condition == "nabla01":
+            tail = lx[len(lx) - max(2, math.ceil(0.3 * len(lx))):]
+            u = np.linspace(tail[0], tail[-1], 257)
+            v = np.asarray(psi.eval_log(u))
+            d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
+            assert float(np.min(d2)) == ev.trend_slope
+            i = int(np.argmin(d2))
+            assert _same_bits(got, d2[max(0, i - 2): i + 3])
+            continue
+        assert _same_bits(got, _direct_witness_values(psi, ev)), ev.condition
+    if name == "top_anchors_dropped":
+        assert [len(q.ratio_log) for q in rep.q_a_table] == [5, 5, 4, 4]
+    if name == "delta1_alpha16":
+        assert rep.conditions[2].detail == "alpha=16"
+
+
+def test_dense_extrapolation_message_is_unchanged():
+    psi = build_counterexample(3)
+    x_hi = float(counterexample_knot_points(3)[-1])
+    bad = GrowthSampleGrid(x_points=tuple(np.geomspace(4.0, x_hi, 50)))
+    lx = bad.log_x
+
+    def message(a):
+        first = lx[lx + math.log(a) > psi.trusted_log_hi + 1e-12][0]
+        return (f"grid point x={float(np.exp(first)):g} needs {psi.label} at {a:g}*x,"
+                " beyond the trusted range")
+
+    with pytest.raises(ExtrapolationError) as info:
+        estimate_quotient(psi, 8.0, bad)
+    assert str(info.value) == message(8.0)
+    # the classifier stops at the first A that leaves the trusted range
+    first_a = next(a for a in bad.a_points
+                   if np.any(lx + math.log(a) > psi.trusted_log_hi + 1e-12))
+    with pytest.raises(ExtrapolationError) as info:
+        classify_injection(psi, bad)
+    assert str(info.value) == message(first_a)

@@ -146,3 +146,14 @@ def test_verify_kernel_custom_h(capsys):
 def test_verify_h_flag_guarded(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "monomial", "--h", "0.5")
     assert code == 64
+
+
+def test_classify_refuses_a_window_it_would_not_use(capsys):
+    code, out, err = run_cli(capsys, "classify", "--function", '{"family":"power","p":2}',
+                             "--x-lo", "100", "--x-hi", "10", "--points", "5")
+    assert code == 64 and out == ""
+    assert "x_lo=100 must be below x_hi=10" in err
+    code, out, err = run_cli(capsys, "classify", "--function", "paper_counterexample:4",
+                             "--x-lo", "100", "--x-hi", "1000")
+    assert code == 64 and out == ""
+    assert "classified on its knot anchors" in err

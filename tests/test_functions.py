@@ -406,3 +406,44 @@ def test_piecewise_knots_exact_and_shapes(psi):
         out = method(np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
         assert isinstance(method(1.0), float)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_PER_ELEMENT_BASES = [
+    PowerFunction(3.3),
+    ExpLogSquared(),
+    ExpMinusOne(),
+    build_counterexample(3),
+    build_counterexample(4),
+    build_counterexample(5),
+    build_counterexample(4, 5.5),
+    build_counterexample(5, 4.5),
+]
+PER_ELEMENT_CASES = (_PER_ELEMENT_BASES + [square_compose(p) for p in _PER_ELEMENT_BASES]
+                     + [arg_square(p) for p in _PER_ELEMENT_BASES])
+
+
+@pytest.mark.parametrize("psi", PER_ELEMENT_CASES, ids=lambda psi: psi.label)
+def test_eval_log_is_per_element(psi):
+    # one eval_log call over many series must give what separate calls give,
+    # bit for bit: the same element at any array length, at any offset into
+    # the input buffer, and as a scalar
+    rng = np.random.default_rng(11)
+    hi = psi.trusted_log_hi if math.isfinite(psi.trusted_log_hi) else 20.0
+    anchors = np.concatenate([psi.growth_anchor_logs(), psi.secondary_anchor_logs()])
+    pool = np.concatenate([
+        rng.uniform(-3.0, hi + 3.0, 300 - 2 * len(anchors)),
+        anchors,
+        anchors + math.log(2.0),
+    ])
+    rng.shuffle(pool)
+    scalar = np.array([psi.eval_log(float(v)) for v in pool])
+    assert all(type(psi.eval_log(float(v))) is float for v in pool[:3])
+    assert _bitwise(psi.eval_log(pool), scalar)
+    for n in range(1, 258):
+        for start in (0, 1, 3, 300 - n):
+            assert _bitwise(psi.eval_log(pool[start:start + n]), scalar[start:start + n]), (n, start)
