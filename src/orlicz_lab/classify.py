@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ExtrapolationError, OrliczFunction
-from .grids import GrowthSampleGrid
+from .grids import DEFAULT_A_POINTS, GrowthSampleGrid
 from .records import Record
 
 SLOPE_TOL = 0.05
@@ -398,6 +398,14 @@ def _verdict_from_trends(estimates) -> tuple[str, list[str]]:
     return VERDICT_WEAK, notes
 
 
+def check_a_points(a_points) -> None:
+    """Raise ValueError unless a_points covers the factors A = 1.5, 2, 4, 8
+    that the verdict reads."""
+    have = set(a_points)
+    if not all(any(abs(a - b) < 1e-9 for b in have) for a in DEFAULT_A_POINTS):
+        raise ValueError(f"a_points must cover {sorted(DEFAULT_A_POINTS)}, got {sorted(have)}")
+
+
 def classify_injection(
     psi: OrliczFunction,
     grid: GrowthSampleGrid | None = None,
@@ -411,10 +419,7 @@ def classify_injection(
     """
     if grid is None:
         grid = GrowthSampleGrid.default_for(psi)
-    required = {1.5, 2.0, 4.0, 8.0}
-    have = set(grid.a_points)
-    if not all(any(abs(a - b) < 1e-9 for b in have) for a in required):
-        raise ValueError(f"a_points must cover {sorted(required)}, got {sorted(have)}")
+    check_a_points(grid.a_points)
 
     notes: list[str] = []
     estimates = []

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 
-from .classify import classify_injection
+from .classify import check_a_points, classify_injection
 from .functions import parse_function_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
@@ -154,6 +154,7 @@ def cmd_classify(args) -> int:
         kwargs["n_points"] = args.points
     try:
         grid = GrowthSampleGrid.default_for(psi, **kwargs)
+        check_a_points(grid.a_points)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = classify_injection(psi, grid)

@@ -39,12 +39,16 @@ class GrowthSampleGrid:
             raise ValueError("x_points must be positive and strictly increasing")
         if any(a <= 1.0 for a in self.a_points):
             raise ValueError("all amplification factors must exceed 1")
-        object.__setattr__(self, "x_points", tuple(float(x) for x in xs))
+        object.__setattr__(self, "x_points", tuple(xs.tolist()))
         object.__setattr__(self, "a_points", tuple(float(a) for a in self.a_points))
+        log_x = np.log(xs)
+        log_x.flags.writeable = False  # shared by every reader
+        object.__setattr__(self, "_log_x", log_x)
 
     @property
     def log_x(self) -> np.ndarray:
-        return np.log(np.asarray(self.x_points))
+        """log of x_points, taken once at construction (read-only)."""
+        return self._log_x
 
     @classmethod
     def default_for(
@@ -76,7 +80,7 @@ class GrowthSampleGrid:
                         " and n_points apply only to a grid without knots"
                     )
                 return cls(
-                    x_points=tuple(np.exp(lx)),
+                    x_points=np.exp(lx),
                     a_points=tuple(a_points),
                     anchored=True,
                 )
@@ -89,7 +93,7 @@ class GrowthSampleGrid:
                 raise ValueError(f"x_lo={lo:g} must be below x_hi={hi:g}")
             lo = hi / 1e3
         return cls(
-            x_points=tuple(np.geomspace(lo, hi, 200 if n_points is None else n_points)),
+            x_points=np.geomspace(lo, hi, 200 if n_points is None else n_points),
             a_points=tuple(a_points),
             anchored=False,
         )

@@ -42,6 +42,10 @@ def log_sum(terms):
 def log_expm1(s):
     """log(exp(s) - 1) for s > 0, elementwise, stable for both tails."""
     s = np.asarray(s, dtype=float)
+    # only the small-s branch is in use (a NaN max takes the general path)
+    if s.size and s.ndim and s.max() <= 33.0:
+        with np.errstate(divide="ignore"):
+            return np.log(np.expm1(s))
     small = np.minimum(s, 33.0)
     with np.errstate(divide="ignore"):
         out = np.where(

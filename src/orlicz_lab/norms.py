@@ -4,10 +4,15 @@ The Luxemburg norm of f is the smallest C > 0 whose modular, the integral of
 Psi(|f|/C), does not exceed 1.  The modular is monotone non-increasing in C,
 and log M is a monotone function of log C (affine for power functions), so
 the norm is the root of log M(log C) = 0, found by Illinois regula falsi on
-log C with a bisection step whenever the secant leaves the bracket.  The logs
-of |f| and of the weights are taken once per norm; all modular accumulation
-happens in the log domain via logsumexp, which keeps piecewise functions with
-1e188-sized knot values honest.
+log C with a bisection step whenever the secant leaves the bracket.  All
+modular accumulation happens in the log domain via logsumexp, which keeps
+piecewise functions with 1e188-sized knot values honest.
+
+Samples are taken once per rule and shared by every Psi: luxemburg_norms,
+bergman_norms and hardy_norms build the rule, sample f on it (per Hardy
+radius, and on the half-resolution companion) and take the logs once, then
+solve each Psi of a tuple against them.  luxemburg_norm, bergman_norm,
+hardy_norm and circle_norm are these with a single Psi.
 
 A function outside the space never produces a silent wrong value: the search
 reports converged=False with an unbounded upper bracket instead.  Non-finite
@@ -104,14 +109,15 @@ class _Root(NamedTuple):
 
 
 def _luxemburg_core(psi, abs_values, weights) -> _Root:
+    """The root for |f| and the weights (see _solve_logs)."""
+    return _solve_logs(psi, *_log_samples(abs_values, weights))
+
+
+def _solve_logs(psi, log_av, log_w) -> _Root:
     """Root of log M(log C) = 0 by Illinois regula falsi on log C, with a
     bisection step whenever the secant leaves the bracket or an end value is
     not finite.  Returns the value, its bracket, the root-finder step count,
     the modular at the value, a convergence flag and log max |f|."""
-    log_av, log_w = _log_samples(abs_values, weights)
-    # callers pass |f| as a temporary: free it rather than hold it next to
-    # its log through the solve
-    del abs_values
     if log_av.size == 0:
         return _Root(0.0, (0.0, 0.0), 0, 0.0, True, -math.inf)
 
@@ -178,48 +184,66 @@ def _luxemburg_core(psi, abs_values, weights) -> _Root:
                  log_peak)
 
 
-def _norm_result(f, psi, dom, root, r=None, flags=()):
-    """NormResult for a solved root: the modular at the value on the
-    half-resolution companion of dom (nodes dilated by the Hardy radius r)
-    gives the quadrature error."""
-    value, m_at = root.value, root.modular
-    flags = list(flags)
-    if not root.converged:
-        flags.append("not_converged")
-    quad_err = 0.0
-    if value > 0.0 and math.isfinite(value):
-        half = dom.half_resolution()
-        nodes = half.nodes() if r is None else r * half.nodes()
-        m_half = modular_from_values(psi, np.abs(f.values(nodes)), _weights_of(half), value)
-        if math.isfinite(m_half) and math.isfinite(m_at):
-            quad_err = abs(m_half - m_at)
-        else:
-            quad_err = math.inf
-        if quad_err > QUAD_REL_TOL * max(1.0, abs(m_at)):
-            # refinement moves the modular: the rule is not resolving the
-            # integrand (typical of functions outside the space, whose true
-            # modular diverges near the boundary)
-            flags.append("quadrature_unresolved")
-        if psi.is_extrapolated_log(root.log_peak - math.log(value)):
-            # Psi was evaluated past its trusted (knot-covered) range
-            flags.append("extrapolated")
-    return NormResult(
-        value=value,
-        bracket=root.bracket,
-        modular_at_value=m_at,
-        bisection_iters=root.iters,
-        quad_error_est=quad_err,
-        converged=root.converged,
-        argmax_radius=r,
-        flags=tuple(flags),
-    )
+def _norm_results(f, dom, psis, roots, radii, flags) -> tuple:
+    """One NormResult per Psi, root, Hardy radius (None off the Hardy sweep)
+    and flags.  The modular at the value on the half-resolution companion of
+    dom (nodes dilated by the radius) gives the quadrature error; that rule is
+    built, and sampled once per radius, only when a value needs it, and shared
+    by every Psi."""
+    half, half_logs = None, {}
+    out = []
+    for psi, root, r, root_flags in zip(psis, roots, radii, flags):
+        value, m_at = root.value, root.modular
+        root_flags = list(root_flags)
+        if not root.converged:
+            root_flags.append("not_converged")
+        quad_err = 0.0
+        if value > 0.0 and math.isfinite(value):
+            if r not in half_logs:
+                half = half or dom.half_resolution()
+                nodes = half.nodes() if r is None else r * half.nodes()
+                half_logs[r] = _log_samples(np.abs(f.values(nodes)), _weights_of(half))
+            m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
+            if math.isfinite(m_half) and math.isfinite(m_at):
+                quad_err = abs(m_half - m_at)
+            else:
+                quad_err = math.inf
+            if quad_err > QUAD_REL_TOL * max(1.0, abs(m_at)):
+                # refinement moves the modular: the rule is not resolving the
+                # integrand (typical of functions outside the space, whose true
+                # modular diverges near the boundary)
+                root_flags.append("quadrature_unresolved")
+            if psi.is_extrapolated_log(root.log_peak - math.log(value)):
+                # Psi was evaluated past its trusted (knot-covered) range
+                root_flags.append("extrapolated")
+        out.append(NormResult(
+            value=value,
+            bracket=root.bracket,
+            modular_at_value=m_at,
+            bisection_iters=root.iters,
+            quad_error_est=quad_err,
+            converged=root.converged,
+            argmax_radius=r,
+            flags=tuple(root_flags),
+        ))
+    return tuple(out)
+
+
+def luxemburg_norms(f, psis, dom) -> tuple:
+    """Luxemburg norm of f over the given domain under each Psi, with a
+    quadrature error estimate from a half-resolution companion rule.  The
+    logs of |f| and of the weights are taken once, and |f| dropped, before
+    every Psi is solved on them."""
+    psis = tuple(psis)
+    log_av, log_w = _log_samples(_abs_values(f, dom), _weights_of(dom))
+    roots = [_solve_logs(psi, log_av, log_w) for psi in psis]
+    del log_av, log_w
+    return _norm_results(f, dom, psis, roots, [None] * len(psis), [()] * len(psis))
 
 
 def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
-    """Luxemburg norm of f over the given domain, with a quadrature error
-    estimate from a half-resolution companion rule."""
-    root = _luxemburg_core(psi, _abs_values(f, dom), _weights_of(dom))
-    return _norm_result(f, psi, dom, root)
+    """Luxemburg norm of f over the given domain (see luxemburg_norms)."""
+    return luxemburg_norms(f, (psi,), dom)[0]
 
 
 def _circle_for(f):
@@ -234,14 +258,20 @@ def _disk_for(f):
     return disk()
 
 
+def bergman_norms(f, psis, dom: DiskDomain | None = None) -> tuple:
+    """Luxemburg norms under normalized area measure on the disk, one per
+    Psi; kernels get a rule refined around their peak."""
+    return luxemburg_norms(f, psis, dom or _disk_for(f))
+
+
 def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormResult:
-    """Luxemburg norm under normalized area measure on the disk; kernels get
-    a rule refined around their peak."""
-    return luxemburg_norm(f, psi, dom or _disk_for(f))
+    """Luxemburg norm under normalized area measure (see bergman_norms)."""
+    return bergman_norms(f, (psi,), dom)[0]
 
 
-def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
-    """sup over r of the circle norm of the dilate f_r(z) = f(r z).
+def hardy_norms(f, psis, radii=None, dom: CircleDomain | None = None) -> tuple:
+    """sup over r of the circle norm of the dilate f_r(z) = f(r z), one
+    NormResult per Psi.
 
     The supported analytic forms extend continuously to the closed disk, and
     for analytic f the norm is non-decreasing in r, so the sup sits at the
@@ -249,40 +279,49 @@ def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = No
     radius costs one modular at the current sup and is solved only when that
     modular exceeds 1 (its norm is then larger), so the sup and its radius
     are exact.  A radius whose norm beats the largest radius's by more than
-    quadrature noise is flagged, not hidden.
+    quadrature noise is flagged, not hidden.  |f| is sampled once per radius
+    and shared by every Psi; each Psi keeps its own sup.
     """
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
     radii = tuple(radii) if radii is not None else DEFAULT_RADII
     if any(not (0.0 < r <= 1.0) for r in radii):
         raise ValueError("radii must lie in (0, 1]")
+    psis = tuple(psis)
     dom = dom or _circle_for(f)
     base_nodes = dom.nodes()
     w = dom.weights
 
-    def solve(r):
-        return _luxemburg_core(psi, np.abs(f.values(r * base_nodes)), w)
-
     r_max = max(radii)
-    best, best_r = solve(r_max), r_max
-    at_r_max = best.value
+    av = np.abs(f.values(r_max * base_nodes))
+    best = [_luxemburg_core(psi, av, w) for psi in psis]
+    best_r = [r_max] * len(psis)
+    at_r_max = [root.value for root in best]
     for r in sorted(set(radii) - {r_max}, reverse=True):
-        if best.value > 0.0:
-            log_m = _log_modular(psi, *_log_samples(np.abs(f.values(r * base_nodes)), w),
-                                 math.log(best.value))
-            if log_m <= 0.0:
+        av = np.abs(f.values(r * base_nodes))
+        log_av, log_w = _log_samples(av, w)
+        for i, psi in enumerate(psis):
+            if best[i].value > 0.0 and _log_modular(psi, log_av, log_w,
+                                                    math.log(best[i].value)) <= 0.0:
                 continue
-        root = solve(r)
-        if root.value > best.value:
-            best, best_r = root, r
-    violated = best.value > at_r_max + 1e-4 * max(at_r_max, 1e-300)
-    return _norm_result(f, psi, dom, best, r=best_r,
-                        flags=("radius_monotonicity_violated",) if violated else ())
+            root = _luxemburg_core(psi, av, w)
+            if root.value > best[i].value:
+                best[i], best_r[i] = root, r
+    flags = [("radius_monotonicity_violated",) if root.value > top + 1e-4 * max(top, 1e-300)
+             else () for root, top in zip(best, at_r_max)]
+    return _norm_results(f, dom, psis, best, best_r, flags)
+
+
+def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
+    """sup over r of the circle norm of the dilate f_r(z) = f(r z) (see
+    hardy_norms, whose samples are taken once per rule and radius and shared
+    by every Psi)."""
+    return hardy_norms(f, (psi,), radii, dom)[0]
 
 
 def circle_norm(f, psi: OrliczFunction, dom: CircleDomain | None = None) -> NormResult:
     """Luxemburg norm of the boundary restriction on the circle."""
-    return luxemburg_norm(f, psi, dom or _circle_for(f))
+    return luxemburg_norms(f, (psi,), dom or _circle_for(f))[0]
 
 
 # -- order-boundedness evidence ----------------------------------------------

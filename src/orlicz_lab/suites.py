@@ -29,7 +29,9 @@ from .functions import (
 from .grids import GrowthSampleGrid
 from .norms import (
     bergman_norm,
+    bergman_norms,
     hardy_norm,
+    hardy_norms,
     luxemburg_norm,
     morse_transue_evidence,
     weak_tail_check,
@@ -152,15 +154,17 @@ def suite_contraction(psis=None, n_random: int = 50, max_degree: int = 20,
     corpus += _random_polynomials(rng, n_random, max_degree)
     disk_dom = disk(256, 96)
     circ_dom = circle(512)
+    # witness-major, so each witness is sampled once for every Psi (kernels on
+    # their refined default rules); the checks are emitted Psi-major
+    sampled = []
+    for f in corpus:
+        kernel = getattr(f, "scale_hint", None)
+        sampled.append((hardy_norms(f, psis, dom=None if kernel else circ_dom),
+                        bergman_norms(f, psis, dom=None if kernel else disk_dom)))
     checks = []
-    for psi in psis:
-        for f in corpus:
-            if getattr(f, "scale_hint", None):
-                h_val = hardy_norm(f, psi)
-                b_val = bergman_norm(f, psi)
-            else:
-                h_val = hardy_norm(f, psi, dom=circ_dom)
-                b_val = bergman_norm(f, psi, dom=disk_dom)
+    for i, psi in enumerate(psis):
+        for f, (h_vals, b_vals) in zip(corpus, sampled):
+            h_val, b_val = h_vals[i], b_vals[i]
             extra = {"psi": psi.label, "f": f.label}
             if not (h_val.converged and b_val.converged):
                 checks.append(CheckRecord(

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # drive the traced classifier through an anchored grid that drops anchors and
 # through an inner eval_log (op 0 of classify_sweep is a power function)
 PICKS = {
-    "suite_battery": ("counterexample",),
+    "suite_battery": ("counterexample", "contraction"),
     "norm_requests": (None, "bergman:paper_counterexample:constant",
                       "circle:paper_counterexample:kernel_squared"),
     "classify_sweep": (None, '{"family": "paper_counterexample", "n_max": 4, "r": 4.0}',

@@ -261,6 +261,19 @@ def test_grid_validation():
         GrowthSampleGrid(x_points=())
 
 
+@pytest.mark.parametrize("grid", [
+    GrowthSampleGrid.default_for(build_counterexample(4)),
+    GrowthSampleGrid.default_for(PowerFunction(3.3)),
+    GrowthSampleGrid.default_for(ExpLogSquared()),
+    GrowthSampleGrid(x_points=(0.5, 1.0, 2.0, 1e300)),
+], ids=["anchored", "power", "exp_log_squared", "explicit"])
+def test_grid_log_x_is_the_log_of_its_points(grid):
+    want = np.log(np.asarray(grid.x_points))
+    assert all(type(x) is float for x in grid.x_points)
+    assert grid.log_x.tobytes() == want.tobytes()
+    assert grid.log_x is grid.log_x and not grid.log_x.flags.writeable
+
+
 def test_quotient_rejects_small_a():
     psi = PowerFunction(2)
     grid = GrowthSampleGrid.default_for(psi)

@@ -103,6 +103,12 @@ def test_malformed_function_spec(capsys):
     assert "unknown function family" in err
 
 
+def test_classify_refuses_a_list_missing_standard_factors(capsys):
+    code, out, err = run_cli(capsys, "classify", "--function", "power:2", "--a-list", "2,4")
+    assert code == 64 and out == ""
+    assert err == "error: a_points must cover [1.5, 2.0, 4.0, 8.0], got [2.0, 4.0]\n"
+
+
 def test_missing_subcommand(capsys):
     assert main([]) == 64
 

@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
 
 from orlicz_lab.logdomain import log_add, log_diff, log_expm1, log_sum
 
@@ -43,3 +45,48 @@ def test_log_expm1_both_tails():
     out = log_expm1(np.array([0.5, 40.0, 800.0]))
     assert math.isclose(out[0], math.log(math.expm1(0.5)), rel_tol=1e-14)
     assert math.isclose(out[2], 800.0, rel_tol=1e-15)
+
+
+def _log_expm1_two_branch(s):
+    """Both branches over the whole input, then a pick per element."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(s > 33.0, s + np.log1p(-np.exp(-np.minimum(s, 709.0))),
+                       np.log(np.expm1(np.minimum(s, 33.0))))
+    return float(out) if out.ndim == 0 else out
+
+
+_BELOW_33 = np.nextafter(33.0, 0.0)
+_ABOVE_33 = np.nextafter(33.0, np.inf)
+
+
+@pytest.mark.parametrize("s", [
+    np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8, 0.5, 1.0, 20.0,
+              _BELOW_33, 33.0]),
+    np.random.default_rng(7).uniform(0.0, 33.0, 4096),
+    np.array([0.0, 1.0, 33.0, _ABOVE_33, 40.0, 709.0, 710.0, 800.0]),
+    np.array([1.0, _ABOVE_33, 33.5]),
+    # past 33 the two branches round differently on a few inputs
+    np.linspace(0.0, 40.0, 40001),
+    np.array([_ABOVE_33, 34.0, 100.0, 709.0, 710.0, 1e4]),
+    np.array([[0.25, 33.0], [2.0, 3.0]]),
+    np.array([]),
+    np.array([np.nan]),
+    np.array([np.nan, 1.0, 40.0]),
+    0.5,
+    40.0,
+    np.float64(33.0),
+], ids=["small", "small_random", "mixed", "just_above_33", "mixed_dense", "large", "small_2d", "empty", "nan", "nan_mixed",
+        "scalar_small", "scalar_large", "numpy_scalar"])
+def test_log_expm1_matches_two_branch_formula_bitwise(s):
+    got, want = log_expm1(s), _log_expm1_two_branch(s)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+
+
+def test_log_expm1_small_array_with_zero_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_expm1(np.array([0.0, 1e-300, 1.0, 33.0]))
+    assert out[0] == -math.inf

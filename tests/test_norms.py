@@ -17,9 +17,12 @@ from orlicz_lab.norms import (
     _luxemburg_core,
     _weights_of,
     bergman_norm,
+    bergman_norms,
     circle_norm,
     hardy_norm,
+    hardy_norms,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     modular_from_values,
     morse_transue_evidence,
@@ -476,3 +479,44 @@ def test_hardy_flags_radius_monotonicity(monkeypatch):
         assert 1 < len(calls) <= len(DEFAULT_RADII)
         monkeypatch.undo()
     assert "radius_monotonicity_violated" not in hardy_norm(make_monomial(3), P2, dom=dom).flags
+
+
+class _CountedValues:
+    """f with a count of its values calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def values(self, z):
+        self.calls += 1
+        return self.f.values(z)
+
+
+@pytest.mark.parametrize("make_f, nonzero", [
+    (lambda: make_polynomial(np.random.default_rng(900).normal(size=9)
+                             + 1j * np.random.default_rng(901).normal(size=9)), True),
+    (lambda: make_kernel_squared(1.0 / 32.0), True),
+    (lambda: make_polynomial([0.0]), False),
+    (_ShrinkingDilates, True),
+], ids=["polynomial", "kernel_squared", "zero", "shrinking_dilates"])
+def test_plural_norms_equal_the_singular_ones(make_f, nonzero):
+    # a zero f has no value to check on the half-resolution rule
+    f = make_f()
+    for plural, singular, samples in (
+        (hardy_norms, hardy_norm, len(DEFAULT_RADII) + nonzero),
+        (bergman_norms, bergman_norm, 1 + nonzero),
+        (lambda f, psis: luxemburg_norms(f, psis, circle(64)),
+         lambda f, psi: circle_norm(f, psi, circle(64)), 1 + nonzero),
+    ):
+        # one values call per rule and radius, whatever the number of Psi
+        counted = _CountedValues(f)
+        results = plural(counted, ALL_PSIS)
+        assert counted.calls == samples
+        assert len(results) == len(ALL_PSIS)
+        for psi, result in zip(ALL_PSIS, results):
+            counted = _CountedValues(f)
+            assert result.to_json() == singular(counted, psi).to_json()
+            assert counted.calls == samples
