@@ -16,6 +16,10 @@ import math
 
 import numpy as np
 
+# most points sampled or evaluated in one numpy pass over a large rule: the
+# temporaries of a pass scale with the block, not with the rule
+BLOCK = 2**15
+
 
 @functools.lru_cache(maxsize=256)
 def _leggauss(n: int):
@@ -194,8 +198,21 @@ class DiskDomain:
 
     # -- node access ---------------------------------------------------------
 
-    def nodes(self) -> np.ndarray:
-        return np.outer(self.r, np.exp(1j * self.theta)).ravel()
+    def nodes(self, rows=slice(None)) -> np.ndarray:
+        """The nodes of the radial rows selected by ``rows``, row-major."""
+        return np.outer(self.r[rows], np.exp(1j * self.theta)).ravel()
+
+    def map_nodes(self, fn, dtype=float) -> np.ndarray:
+        """An elementwise fn of the nodes as one full-length array, evaluated
+        on blocks of whole radial rows of at most BLOCK nodes (at least one
+        row)."""
+        n_theta = len(self.theta)
+        step = max(BLOCK // n_theta, 1)
+        out = np.empty(self.size, dtype=dtype)
+        for i in range(0, len(self.r), step):
+            z = self.nodes(rows=slice(i, i + step))
+            out[i * n_theta:i * n_theta + z.size] = fn(z)
+        return out
 
     def weights(self) -> np.ndarray:
         return np.outer(self.r_weights, self.theta_weights).ravel()

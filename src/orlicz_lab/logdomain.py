@@ -29,14 +29,17 @@ def log_diff(a, b):
 
 
 def log_sum(terms):
-    """logsumexp over a 1-d array, tolerating -inf entries."""
+    """logsumexp over a 1-d array, tolerating -inf entries; the terms are
+    not written."""
     t = np.asarray(terms, dtype=float)
     if t.size == 0:
         return -np.inf
     m = np.max(t)
     if not np.isfinite(m):
         return float(m)
-    return float(m + np.log(np.sum(np.exp(t - m))))
+    d = t - m
+    np.exp(d, out=d)
+    return float(m + np.log(np.sum(d)))
 
 
 def log_expm1(s):

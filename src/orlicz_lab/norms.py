@@ -14,6 +14,14 @@ radius, and on the half-resolution companion) and take the logs once, then
 solve each Psi of a tuple against them.  luxemburg_norm, bergman_norm,
 hardy_norm and circle_norm are these with a single Psi.
 
+Memory: disk rules are sampled, and every modular is evaluated, in blocks of
+at most domains.BLOCK = 2**15 points written into one full-length buffer, so
+a solve holds at full length only the logs of |f|, the logs of the weights
+and that buffer of log-terms (with one copy of it inside log_sum, which
+leaves its input unwritten).  Every element is computed as on the whole
+rule, and the max, exp and pairwise sum of the log-sum-exp run on the whole
+buffer, so the values are bitwise those of whole-rule evaluation.
+
 A function outside the space never produces a silent wrong value: the search
 reports converged=False with an unbounded upper bracket instead.  Non-finite
 samples and a lower bracket that never closes raise ValueError.
@@ -27,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import CircleDomain, DiskDomain, circle, disk
+from .domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
 from .logdomain import LOG_DBL_MAX, log_sum
 from .records import Record
@@ -62,6 +70,9 @@ def _weights_of(dom):
 
 
 def _abs_values(f, dom):
+    """|f| on the nodes; disk rules are sampled in blocks of radial rows."""
+    if isinstance(dom, DiskDomain):
+        return dom.map_nodes(lambda z: np.abs(f.values(z)))
     return np.abs(f.values(dom.nodes()))
 
 
@@ -73,13 +84,22 @@ def _log_samples(abs_values, weights):
     if bad:
         raise ValueError(f"{bad} of {av.size} sample values are not finite (NaN or inf)")
     mask = av > 0.0
-    return np.log(av[mask]), np.log(np.asarray(weights, dtype=float)[mask])
+    # boolean indexing copies, so the logs are taken in place
+    log_av, log_w = av[mask], np.asarray(weights, dtype=float)[mask]
+    np.log(log_av, out=log_av)
+    np.log(log_w, out=log_w)
+    return log_av, log_w
 
 
 def _log_modular(psi, log_av, log_w, log_c):
-    """log of the modular at scale exp(log_c): one eval_log and one
-    log-sum-exp; -inf for the zero function."""
-    return log_sum(log_w + np.asarray(psi.eval_log(log_av - log_c)))
+    """log of the modular at scale exp(log_c): eval_log on blocks of at most
+    BLOCK points into one buffer, then one log-sum-exp; -inf for the zero
+    function."""
+    t = np.empty_like(log_av)
+    for i in range(0, log_av.size, BLOCK):
+        j = i + BLOCK
+        np.add(log_w[i:j], psi.eval_log(log_av[i:j] - log_c), out=t[i:j])
+    return log_sum(t)
 
 
 def _exp_modular(log_m):
@@ -201,8 +221,8 @@ def _norm_results(f, dom, psis, roots, radii, flags) -> tuple:
         if value > 0.0 and math.isfinite(value):
             if r not in half_logs:
                 half = half or dom.half_resolution()
-                nodes = half.nodes() if r is None else r * half.nodes()
-                half_logs[r] = _log_samples(np.abs(f.values(nodes)), _weights_of(half))
+                av = _abs_values(f, half) if r is None else np.abs(f.values(r * half.nodes()))
+                half_logs[r] = _log_samples(av, _weights_of(half))
             m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
@@ -397,16 +417,20 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     monotone unbounded growth.
     """
     c_grid = tuple(float(c) for c in c_grid)
+    if min(c_grid) <= 0:
+        raise ValueError("the modular scale c must be positive")
     if max(c_grid) / min(c_grid) < 1e4:
         raise ValueError("c_grid should span at least four decades")
     dom = dom or DiskDomain.boundary_refined(k_max=16)
-    # |f| and the weights are sampled once per rule and shared by every c
-    samples = [(_abs_values(f, d), _weights_of(d)) for d in map(dom.refine, range(levels))]
+    # the logs of |f| and of the weights are taken once per rule and shared
+    # by every c
+    logs = [_log_samples(_abs_values(f, d), _weights_of(d))
+            for d in map(dom.refine, range(levels))]
     table = {}
     diverging = []
     stabilizing = []
     for c in c_grid:
-        vals = [modular_from_values(psi, av, w, c) for av, w in samples]
+        vals = [_exp_modular(_log_modular(psi, *lg, math.log(c))) for lg in logs]
         table[f"{c:g}"] = vals
         grows = all(
             (math.isinf(b) and not math.isinf(a)) or (math.isfinite(a) and b > a * 1.05)

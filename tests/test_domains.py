@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orlicz_lab.domains import CircleDomain, DiskDomain, circle, disk
+from orlicz_lab.domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 
 
 def test_weights_normalized():
@@ -74,3 +74,32 @@ def test_half_resolution_and_refine():
     c = circle(64)
     assert c.half_resolution().size == 32
     assert c.refine(2).size == 256
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dom", [
+    disk(64, 32),                                # one block
+    DiskDomain.kernel_refined(1.0 / 32.0, 1.0),  # 39-row blocks, a short last one
+    DiskDomain.polar(40000, 3),                  # rows wider than a block: one row each
+], ids=["one_block", "short_last_block", "wide_rows"])
+def test_map_nodes_is_the_whole_rule_map(dom):
+    z = dom.nodes()
+    assert _same_bits(dom.nodes(rows=slice(2, 5)), z[2 * len(dom.theta):5 * len(dom.theta)])
+    for fn, dtype in ((lambda z: np.abs(z - 0.3j), float),
+                      (lambda z: np.abs(z - 1.0) < 0.25, bool),
+                      (lambda z: z * z, complex)):
+        assert _same_bits(dom.map_nodes(fn, dtype=dtype), fn(z))
+
+
+def test_map_nodes_blocks_hold_whole_rows_of_at_most_block_points():
+    sizes = []
+    dom = DiskDomain.kernel_refined(1.0 / 32.0)
+    dom.map_nodes(lambda z: sizes.append(z.size) or np.zeros(z.size))
+    assert sum(sizes) == dom.size
+    assert all(s % len(dom.theta) == 0 and s <= BLOCK for s in sizes)
+    # every block but the last is as large as whole rows allow
+    assert len(sizes) > 1
+    assert set(sizes[:-1]) == {BLOCK // len(dom.theta) * len(dom.theta)}

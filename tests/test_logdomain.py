@@ -90,3 +90,10 @@ def test_log_expm1_small_array_with_zero_warns_nothing():
         warnings.simplefilter("error")
         out = log_expm1(np.array([0.0, 1e-300, 1.0, 33.0]))
     assert out[0] == -math.inf
+
+
+def test_log_sum_leaves_its_terms_unwritten():
+    terms = np.log(np.arange(1.0, 9.0))
+    before = terms.copy()
+    assert math.isclose(log_sum(terms), math.log(36.0), rel_tol=1e-15)
+    assert np.array_equal(terms, before)

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from orlicz_lab.domains import CircleDomain, DiskDomain, circle, disk
+from orlicz_lab.domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from orlicz_lab.functions import (
     ExpLogSquared,
     ExpMinusOne,
     PowerFunction,
+    arg_square,
     build_counterexample,
+    square_compose,
 )
+from orlicz_lab.logdomain import log_sum
 from orlicz_lab import norms
 from orlicz_lab.norms import (
     DEFAULT_RADII,
@@ -298,6 +302,23 @@ def test_morse_transue_requires_four_decades():
         morse_transue_evidence(make_monomial(1), P2, c_grid=(1.0, 0.5))
 
 
+@pytest.mark.parametrize("c_grid", [(100.0, 0.0), (100.0, 0.01, -1.0)])
+def test_morse_transue_rejects_non_positive_scales(c_grid):
+    with pytest.raises(ValueError, match="positive"):
+        morse_transue_evidence(make_monomial(1), P2, c_grid=c_grid)
+
+
+def test_morse_transue_modulars_are_the_per_scale_modulars():
+    # the logs are taken once per rule; every c's modular is still the one
+    # modular_from_values gives on that rule, bit for bit
+    env = make_evaluation_envelope(P2)
+    dom = DiskDomain.boundary_refined(k_max=16)
+    res = morse_transue_evidence(env, P2, dom=dom)
+    rules = [dom.refine(k) for k in range(res["levels"])]
+    for c, vals in res["modulars"].items():
+        assert vals == [modular(env, P2, d, float(c)) for d in rules]
+
+
 # -- root-finder contract ------------------------------------------------------
 
 
@@ -482,16 +503,16 @@ def test_hardy_flags_radius_monotonicity(monkeypatch):
 
 
 class _CountedValues:
-    """f with a count of its values calls."""
+    """f with a count of the points it is sampled at."""
 
     def __init__(self, f):
-        self.f, self.calls = f, 0
+        self.f, self.points = f, 0
 
     def __getattr__(self, name):
         return getattr(self.f, name)
 
     def values(self, z):
-        self.calls += 1
+        self.points += np.size(z)
         return self.f.values(z)
 
 
@@ -505,18 +526,93 @@ class _CountedValues:
 def test_plural_norms_equal_the_singular_ones(make_f, nonzero):
     # a zero f has no value to check on the half-resolution rule
     f = make_f()
+    circ, disk_dom = norms._circle_for(f), norms._disk_for(f)
     for plural, singular, samples in (
-        (hardy_norms, hardy_norm, len(DEFAULT_RADII) + nonzero),
-        (bergman_norms, bergman_norm, 1 + nonzero),
+        (hardy_norms, hardy_norm, len(DEFAULT_RADII) * circ.size
+         + nonzero * circ.half_resolution().size),
+        (bergman_norms, bergman_norm, disk_dom.size + nonzero * disk_dom.half_resolution().size),
         (lambda f, psis: luxemburg_norms(f, psis, circle(64)),
-         lambda f, psi: circle_norm(f, psi, circle(64)), 1 + nonzero),
+         lambda f, psi: circle_norm(f, psi, circle(64)), 64 + nonzero * 32),
     ):
-        # one values call per rule and radius, whatever the number of Psi
+        # one sampling pass per rule and radius, whatever the number of Psi
         counted = _CountedValues(f)
         results = plural(counted, ALL_PSIS)
-        assert counted.calls == samples
+        assert counted.points == samples
         assert len(results) == len(ALL_PSIS)
         for psi, result in zip(ALL_PSIS, results):
             counted = _CountedValues(f)
             assert result.to_json() == singular(counted, psi).to_json()
-            assert counted.calls == samples
+            assert counted.points == samples
+
+
+# -- blocked evaluation ----------------------------------------------------------
+
+
+_BLOCK_BASES = (P2, PowerFunction(3.3), ExpLogSquared(), ExpMinusOne(), build_counterexample(4))
+BLOCK_PSIS = (_BLOCK_BASES + tuple(square_compose(p) for p in _BLOCK_BASES)
+              + tuple(arg_square(p) for p in _BLOCK_BASES))
+
+
+@pytest.mark.parametrize("psi", BLOCK_PSIS, ids=lambda psi: psi.label)
+def test_blocked_log_modular_is_the_whole_array_formula(psi):
+    # eval_log on blocks into one buffer, then one log-sum-exp over it, gives
+    # the bits of the whole-array formula at every length
+    b = BLOCK
+    rng = np.random.default_rng(17)
+    n_max = 3 * b + 5
+    log_av = rng.uniform(-3.0, 5.0, n_max)
+    log_av[b:2 * b] *= 1.6
+    log_w = rng.uniform(-16.0, -4.0, n_max)
+    # ExpLogSquared's blocks take both log_expm1 branches: s = log(1+x)^2
+    # stays <= 33 on the first block only
+    s = np.logaddexp(0.0, log_av - 0.3) ** 2
+    assert s[:b].max() <= 33.0 < s[b:2 * b].max()
+    for n in (1, b - 1, b, b + 1, n_max):
+        for log_c in (-1.0, 0.3, 2.0):
+            lx, lw = log_av[:n], log_w[:n]
+            want = log_sum(lw + psi.eval_log(lx - log_c))
+            got = norms._log_modular(psi, lx, lw, log_c)
+            assert float(got).hex() == float(want).hex(), (n, log_c)
+
+
+_WITNESSES = (
+    make_monomial(7),
+    make_polynomial(np.random.default_rng(5).normal(size=6) + 0.5j),
+    make_kernel_squared(1.0 / 32.0, 0.4),
+    make_scaled_kernel(P2, 10.0),
+    make_evaluation_envelope(build_counterexample(4)),
+)
+
+
+@pytest.mark.parametrize("f", _WITNESSES, ids=lambda f: f.label)
+def test_blocked_disk_sampling_is_the_whole_rule_sampling(f):
+    # 2 blocks of 64 rows, and 6 blocks with a short last one
+    for dom in (disk(512, 128), DiskDomain.kernel_refined(1.0 / 32.0, 0.4)):
+        assert dom.size >= 2 * BLOCK
+        got, want = norms._abs_values(f, dom), np.abs(f.values(dom.nodes()))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_blocked_envelope_sampling_still_refuses_the_boundary():
+    # the radius-1 row sits in the last of several blocks
+    r = np.linspace(0.05, 1.0, 20)
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    dom = DiskDomain(r, np.full(20, 0.05), theta, np.full(4096, 1.0 / 4096), {"rule": "test"})
+    assert dom.size > 2 * BLOCK
+    with pytest.raises(ValueError, match="open disk"):
+        norms._abs_values(make_evaluation_envelope(P2), dom)
+
+
+def test_kernel_norm_memory_stays_bounded():
+    # the 193,024-node kernel rule is solved in blocks: its traced peak was
+    # 18.7 MB when eval_log ran on the whole rule at once
+    f = make_kernel_squared(1.0 / 32.0)
+    psis = (P2, ExpLogSquared(), build_counterexample(4))
+    tracemalloc.start()
+    try:
+        bergman_norms(f, psis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orlicz_lab.domains import DiskDomain
 from orlicz_lab.functions import ExpLogSquared, PowerFunction, build_counterexample
 from orlicz_lab.suites import (
     SUITE_NAMES,
@@ -70,6 +71,25 @@ def test_kernel_suite_rejects_unresolved_norm():
     assert not floor[0].passed
     assert "under-resolved" in floor[0].extra["failure"]
     assert not rep.overall_pass
+
+
+def test_kernel_suite_builds_the_kernel_rule_once_per_h(monkeypatch):
+    # several Psi share one kernel rule (and its half-resolution companion)
+    # per h, and each gets the floor check it would get alone
+    psis = (PowerFunction(2), ExpLogSquared(), build_counterexample(4))
+
+    def floors(rep):
+        return [c.to_json() for c in rep.checks
+                if c.description.startswith("disk norm floor, h=0.125,")]
+
+    alone = [j for psi in psis for j in floors(suite_kernel_bounds(h_grid=(0.125,), psis=(psi,)))]
+    builds = []
+    raw = DiskDomain.kernel_refined.__func__
+    monkeypatch.setattr(DiskDomain, "kernel_refined",
+                        classmethod(lambda cls, *a, **k: builds.append(a) or raw(cls, *a, **k)))
+    rep = suite_kernel_bounds(h_grid=(0.125, 0.03125), psis=psis)
+    assert len(builds) == 4
+    assert floors(rep) == alone
 
 
 def test_suite_counterexample_passes():
