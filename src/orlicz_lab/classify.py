@@ -8,14 +8,16 @@ become trend classifications; every verdict ships with the witness series
 that produced it and is labeled numerical evidence, never proof.
 
 One classification evaluates Psi once: a single ``eval_log`` call covers
-every abscissa its quotients and condition checks read, and each check reads
-slices of the result.  The checks called on their own build the same table.
+every abscissa its quotients and condition checks read.  The classification
+passes that table explicitly, as the keyword-only ``table`` argument of each
+check, and each check reads slices of it.  A check called on its own, or
+given a table built for another Psi, grid or A, builds the same table itself,
+so a passed table never changes a result.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +189,10 @@ class _PsiTable:
         self.log_psi = dict(zip(keys, parts))
 
 
-# the table of the classification in progress: the checks it calls through
-# this module's names read it instead of evaluating Psi again
-_ACTIVE_TABLE: ContextVar[_PsiTable | None] = ContextVar("active_psi_table", default=None)
-
-
-def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=()) -> _PsiTable:
-    table = _ACTIVE_TABLE.get()
+def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=(),
+               table: _PsiTable | None = None) -> _PsiTable:
+    """The given table when it was built for this psi and grid and holds each
+    A of a_points, else a new one: a table passed in never changes a result."""
     if (table is None or table.psi is not psi or table.grid is not grid
             or any((0, a) not in table.log_psi for a in a_points)):
         table = _PsiTable(psi, grid, a_points)
@@ -203,16 +202,18 @@ def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=()) -> _Psi
 # -- Q_A ----------------------------------------------------------------------
 
 
-def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid) -> QuotientEstimate:
+def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
+                      table: _PsiTable | None = None) -> QuotientEstimate:
     """Log-domain estimate of the quotient Psi(A x) / Psi(x)^2 on the grid.
 
     For anchored grids, points whose amplified abscissa A*x leaves the trusted
     range are dropped (a structural grid knows where it must stop); for dense
-    grids the same situation is an error naming the offending point.
+    grids the same situation is an error naming the offending point.  A
+    classification passes its Psi table as ``table``.
     """
     if a <= 1.0:
         raise ValueError(f"amplification factor must exceed 1, got {a}")
-    table = _table_for(psi, grid, (a,))
+    table = _table_for(psi, grid, (a,), table)
     up = table.log_psi[0, a]
     lx = table.series[0]
     n = len(up)
@@ -308,9 +309,9 @@ _SWEEPS = {
 }
 
 
-def _swept_condition(psi, grid, condition) -> ConditionEvidence:
+def _swept_condition(psi, grid, condition, table) -> ConditionEvidence:
     factors, series, floor, name, closest_word = _SWEEPS[condition]
-    sweep = _factor_sweep(_table_for(psi, grid), factors, series, floor)
+    sweep = _factor_sweep(_table_for(psi, grid, table=table), factors, series, floor)
     if sweep is None:
         return ConditionEvidence(condition, "inconclusive", detail="grid too short")
     held, factor, score, witness = sweep
@@ -322,7 +323,8 @@ def _swept_condition(psi, grid, condition) -> ConditionEvidence:
     return ConditionEvidence(condition, "yes" if held else "no", witness, score, detail)
 
 
-def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid) -> ConditionEvidence:
+def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid, *,
+                    table: _PsiTable | None = None) -> ConditionEvidence:
     """Evidence for one growth condition on the grid.
 
     delta2   -- Psi(2x) <= C Psi(x) eventually (bounded doubling ratio)
@@ -331,15 +333,16 @@ def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid)
     nabla01  -- log Psi(e^u) convex (second differences >= -1e-8)
 
     Grids that leave fewer than the minimum usable tail points yield the
-    verdict "inconclusive" rather than a fabricated yes or no.
+    verdict "inconclusive" rather than a fabricated yes or no.  A
+    classification passes its Psi table as ``table``.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
     if condition != "nabla01":
-        return _swept_condition(psi, grid, condition)
+        return _swept_condition(psi, grid, condition, table)
 
     # nabla01: convexity of u -> log Psi(e^u) over the tail log-range
-    table = _table_for(psi, grid)
+    table = _table_for(psi, grid, table=table)
     u = table.nabla_u
     if len(u) == 0:
         return ConditionEvidence("nabla01", "inconclusive", detail="grid too short")
@@ -354,10 +357,11 @@ def check_condition(psi: OrliczFunction, condition: str, grid: GrowthSampleGrid)
     )
 
 
-def check_conjugate_delta2(psi: OrliczFunction, grid: GrowthSampleGrid) -> ConditionEvidence:
+def check_conjugate_delta2(psi: OrliczFunction, grid: GrowthSampleGrid, *,
+                           table: _PsiTable | None = None) -> ConditionEvidence:
     """The sufficient criterion for the conjugate function to be doubling:
     some beta > 1 with Psi(beta x) >= 2 beta Psi(x) on the tail window."""
-    return _swept_condition(psi, grid, "conjugate_delta2")
+    return _swept_condition(psi, grid, "conjugate_delta2", table)
 
 
 def _smallest_power_bound(table: _PsiTable):
@@ -426,17 +430,13 @@ def classify_injection(
     failures = []
 
     table = _PsiTable(psi, grid, grid.a_points)
-    token = _ACTIVE_TABLE.set(table)
-    try:
-        for a in grid.a_points:
-            try:
-                estimates.append(estimate_quotient(psi, a, grid))
-            except GridTooShortError as exc:
-                failures.append(f"A={a:g}: {exc}")
-        conditions = tuple(check_condition(psi, c, grid) for c in CONDITIONS)
-        conj = check_conjugate_delta2(psi, grid)
-    finally:
-        _ACTIVE_TABLE.reset(token)
+    for a in grid.a_points:
+        try:
+            estimates.append(estimate_quotient(psi, a, grid, table=table))
+        except GridTooShortError as exc:
+            failures.append(f"A={a:g}: {exc}")
+    conditions = tuple(check_condition(psi, c, grid, table=table) for c in CONDITIONS)
+    conj = check_conjugate_delta2(psi, grid, table=table)
 
     if failures:
         verdict = VERDICT_INCONCLUSIVE

@@ -8,11 +8,13 @@ log C with a bisection step whenever the secant leaves the bracket.  All
 modular accumulation happens in the log domain via logsumexp, which keeps
 piecewise functions with 1e188-sized knot values honest.
 
-Samples are taken once per rule and shared by every Psi: luxemburg_norms,
-bergman_norms and hardy_norms build the rule, sample f on it (per Hardy
-radius, and on the half-resolution companion) and take the logs once, then
-solve each Psi of a tuple against them.  luxemburg_norm, bergman_norm,
-hardy_norm and circle_norm are these with a single Psi.
+luxemburg_norms, bergman_norms and hardy_norms run one sweep over radii: the
+rule itself for the first two, the Hardy radii largest first for the last.
+The sweep samples f once per radius (and on the half-resolution companion),
+keeps only the logs, and solves each Psi of a tuple against them: the first
+radius outright, a later one only when its modular at that Psi's current sup
+exceeds 1.  luxemburg_norm, bergman_norm, hardy_norm and circle_norm are
+these with a single Psi.
 
 Memory: disk rules are sampled, and every modular is evaluated, in blocks of
 at most domains.BLOCK = 2**15 points written into one full-length buffer, so
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -65,15 +68,16 @@ class NormResult(Record):
     flags: tuple = ()
 
 
-def _weights_of(dom):
-    return dom.weights() if isinstance(dom, DiskDomain) else dom.weights
-
-
-def _abs_values(f, dom):
-    """|f| on the nodes; disk rules are sampled in blocks of radial rows."""
+def _samples(f, dom, radii=(None,)):
+    """(|f|, weights) on the rule for each radius in turn: None samples the
+    rule itself (a disk rule in blocks of radial rows), r the circle's nodes
+    dilated by r.  The nodes are built once for every radius."""
     if isinstance(dom, DiskDomain):
-        return dom.map_nodes(lambda z: np.abs(f.values(z)))
-    return np.abs(f.values(dom.nodes()))
+        yield dom.map_nodes(lambda z: np.abs(f.values(z))), dom.weights()
+        return
+    z = dom.nodes()
+    for r in radii:
+        yield np.abs(f.values(z if r is None else r * z)), dom.weights
 
 
 def _log_samples(abs_values, weights):
@@ -116,7 +120,7 @@ def modular_from_values(psi: OrliczFunction, abs_values, weights, c: float) -> f
 
 def modular(f, psi: OrliczFunction, dom, c: float) -> float:
     """Quadrature value of the modular of f at scale c on the domain."""
-    return modular_from_values(psi, _abs_values(f, dom), _weights_of(dom), c)
+    return modular_from_values(psi, *next(_samples(f, dom)), c)
 
 
 class _Root(NamedTuple):
@@ -126,11 +130,6 @@ class _Root(NamedTuple):
     modular: float
     converged: bool
     log_peak: float  # log of the largest |f| sample; -inf for f = 0
-
-
-def _luxemburg_core(psi, abs_values, weights) -> _Root:
-    """The root for |f| and the weights (see _solve_logs)."""
-    return _solve_logs(psi, *_log_samples(abs_values, weights))
 
 
 def _solve_logs(psi, log_av, log_w) -> _Root:
@@ -204,25 +203,43 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
                  log_peak)
 
 
-def _norm_results(f, dom, psis, roots, radii, flags) -> tuple:
-    """One NormResult per Psi, root, Hardy radius (None off the Hardy sweep)
-    and flags.  The modular at the value on the half-resolution companion of
-    dom (nodes dilated by the radius) gives the quadrature error; that rule is
-    built, and sampled once per radius, only when a value needs it, and shared
-    by every Psi."""
+def _sweep(f, dom, psis, radii) -> tuple:
+    """One NormResult per Psi: the largest norm of f over the radii, taken
+    in the order given (None: the rule itself; r: the circle's nodes dilated
+    by r).  |f| is sampled once per radius, and only its logs are kept and
+    shared by every Psi.  The first radius is solved outright; a later one
+    costs one modular at that Psi's current sup, and is solved only when that
+    modular exceeds 1 (its norm is then larger).  The modular at the value on
+    the half-resolution companion of dom gives the quadrature error; that
+    rule is built, and sampled once per radius, only when a value needs it."""
+    best, where, top = [None] * len(psis), [None] * len(psis), []
+    for r, logs in zip(radii, starmap(_log_samples, _samples(f, dom, radii))):
+        for i, psi in enumerate(psis):
+            if best[i] is None:
+                best[i], where[i] = _solve_logs(psi, *logs), r
+                top.append(best[i].value)
+            elif not (best[i].value > 0.0
+                      and _log_modular(psi, *logs, math.log(best[i].value)) <= 0.0):
+                root = _solve_logs(psi, *logs)
+                if root.value > best[i].value:
+                    best[i], where[i] = root, r
+    del logs  # the companion rule is sampled without the logs of this one
+
     half, half_logs = None, {}
     out = []
-    for psi, root, r, root_flags in zip(psis, roots, radii, flags):
+    for psi, root, r, t in zip(psis, best, where, top):
         value, m_at = root.value, root.modular
-        root_flags = list(root_flags)
+        flags = []
+        if value > t + 1e-4 * max(t, 1e-300):
+            # a later radius beat the first by more than quadrature noise
+            flags.append("radius_monotonicity_violated")
         if not root.converged:
-            root_flags.append("not_converged")
+            flags.append("not_converged")
         quad_err = 0.0
         if value > 0.0 and math.isfinite(value):
             if r not in half_logs:
                 half = half or dom.half_resolution()
-                av = _abs_values(f, half) if r is None else np.abs(f.values(r * half.nodes()))
-                half_logs[r] = _log_samples(av, _weights_of(half))
+                half_logs[r] = _log_samples(*next(_samples(f, half, (r,))))
             m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
@@ -232,10 +249,10 @@ def _norm_results(f, dom, psis, roots, radii, flags) -> tuple:
                 # refinement moves the modular: the rule is not resolving the
                 # integrand (typical of functions outside the space, whose true
                 # modular diverges near the boundary)
-                root_flags.append("quadrature_unresolved")
+                flags.append("quadrature_unresolved")
             if psi.is_extrapolated_log(root.log_peak - math.log(value)):
                 # Psi was evaluated past its trusted (knot-covered) range
-                root_flags.append("extrapolated")
+                flags.append("extrapolated")
         out.append(NormResult(
             value=value,
             bracket=root.bracket,
@@ -244,21 +261,16 @@ def _norm_results(f, dom, psis, roots, radii, flags) -> tuple:
             quad_error_est=quad_err,
             converged=root.converged,
             argmax_radius=r,
-            flags=tuple(root_flags),
+            flags=tuple(flags),
         ))
     return tuple(out)
 
 
 def luxemburg_norms(f, psis, dom) -> tuple:
     """Luxemburg norm of f over the given domain under each Psi, with a
-    quadrature error estimate from a half-resolution companion rule.  The
-    logs of |f| and of the weights are taken once, and |f| dropped, before
-    every Psi is solved on them."""
-    psis = tuple(psis)
-    log_av, log_w = _log_samples(_abs_values(f, dom), _weights_of(dom))
-    roots = [_solve_logs(psi, log_av, log_w) for psi in psis]
-    del log_av, log_w
-    return _norm_results(f, dom, psis, roots, [None] * len(psis), [()] * len(psis))
+    quadrature error estimate from a half-resolution companion rule (see
+    _sweep, with the rule itself as the one radius)."""
+    return _sweep(f, dom, tuple(psis), (None,))
 
 
 def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
@@ -305,31 +317,9 @@ def hardy_norms(f, psis, radii=None, dom: CircleDomain | None = None) -> tuple:
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
     radii = tuple(radii) if radii is not None else DEFAULT_RADII
-    if any(not (0.0 < r <= 1.0) for r in radii):
-        raise ValueError("radii must lie in (0, 1]")
-    psis = tuple(psis)
-    dom = dom or _circle_for(f)
-    base_nodes = dom.nodes()
-    w = dom.weights
-
-    r_max = max(radii)
-    av = np.abs(f.values(r_max * base_nodes))
-    best = [_luxemburg_core(psi, av, w) for psi in psis]
-    best_r = [r_max] * len(psis)
-    at_r_max = [root.value for root in best]
-    for r in sorted(set(radii) - {r_max}, reverse=True):
-        av = np.abs(f.values(r * base_nodes))
-        log_av, log_w = _log_samples(av, w)
-        for i, psi in enumerate(psis):
-            if best[i].value > 0.0 and _log_modular(psi, log_av, log_w,
-                                                    math.log(best[i].value)) <= 0.0:
-                continue
-            root = _luxemburg_core(psi, av, w)
-            if root.value > best[i].value:
-                best[i], best_r[i] = root, r
-    flags = [("radius_monotonicity_violated",) if root.value > top + 1e-4 * max(top, 1e-300)
-             else () for root, top in zip(best, at_r_max)]
-    return _norm_results(f, dom, psis, best, best_r, flags)
+    if not radii or any(not (0.0 < r <= 1.0) for r in radii):
+        raise ValueError("radii must be non-empty and lie in (0, 1]")
+    return _sweep(f, dom or _circle_for(f), tuple(psis), sorted(set(radii), reverse=True))
 
 
 def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
@@ -355,20 +345,19 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
     if any(t <= 0 for t in t_grid):
         raise ValueError("t_grid must be positive")
     dom = dom or DiskDomain.boundary_refined()
-    av = _abs_values(f, dom)
-    w = _weights_of(dom)
+    av, w = next(_samples(f, dom))
     peak = float(np.max(av))
+    measures = [float(np.sum(w[av > t])) for t in t_grid]
 
     def tail_record(cv):
         rows = []
-        for t in t_grid:
-            mu = float(np.sum(w[av > t]))
-            log_bound = -float(psi.eval_log(math.log(cv * t)))
-            bound = math.exp(log_bound) if log_bound < 700 else math.inf
+        for t, mu in zip(t_grid, measures):
+            log_psi = float(psi.eval_log(math.log(cv * t)))
+            bound = math.exp(-log_psi) if -log_psi < 700 else math.inf
             flags = []
             if t > peak:
                 flags.append("beyond_node_max")
-            if psi.eval_log(math.log(cv * t)) <= 0.0:
+            if log_psi <= 0.0:
                 flags.append("small_t_exemption")
             rows.append({
                 "t": t,
@@ -424,8 +413,7 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     dom = dom or DiskDomain.boundary_refined(k_max=16)
     # the logs of |f| and of the weights are taken once per rule and shared
     # by every c
-    logs = [_log_samples(_abs_values(f, d), _weights_of(d))
-            for d in map(dom.refine, range(levels))]
+    logs = [_log_samples(*next(_samples(f, d))) for d in map(dom.refine, range(levels))]
     table = {}
     diverging = []
     stabilizing = []

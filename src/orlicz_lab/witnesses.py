@@ -21,9 +21,9 @@ from .functions import OrliczFunction
 @dataclass(frozen=True)
 class Monomial:
     n: int
-    analytic: bool = True
-    scale_hint: float | None = None
-    focus_angle: float | None = None
+    analytic = True
+    scale_hint = None
+    focus_angle = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -43,9 +43,9 @@ class Monomial:
 @dataclass(frozen=True)
 class Polynomial:
     coeffs: tuple  # complex, ascending degree
-    analytic: bool = True
-    scale_hint: float | None = None
-    focus_angle: float | None = None
+    analytic = True
+    scale_hint = None
+    focus_angle = None
 
     def values(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z), np.asarray(self.coeffs))
@@ -72,7 +72,7 @@ class KernelSquared:
 
     h: float
     xi_angle: float = 0.0
-    analytic: bool = True
+    analytic = True
 
     def __post_init__(self):
         if not (0.0 < self.h < 0.5):
@@ -111,7 +111,7 @@ class ScaledKernel:
     x_j: float
     r_j: float
     xi_angle: float = 0.0
-    analytic: bool = True
+    analytic = True
 
     def __post_init__(self):
         if not (0.0 < self.r_j < 1.0):
@@ -184,13 +184,20 @@ def make_kernel_squared(h: float, xi_angle: float = 0.0) -> KernelSquared:
 
 def make_scaled_kernel(psi: OrliczFunction, x_j: float, xi_angle: float = 0.0) -> ScaledKernel:
     """Kernel witness normalized through r_j = 1 - 1/Psi(x_j); requires
-    Psi(x_j) > 2 so that r_j lands in (1/2, 1)."""
+    Psi(x_j) > 2 so that r_j lands in (1/2, 1), and 1/Psi(x_j) large enough
+    that r_j stays below 1 in double precision."""
     v = psi.eval(x_j)
     if v <= 2.0:
         raise ValueError(
             f"need Psi(x_j) > 2 for the scaled kernel, got Psi({x_j:g}) = {v:g}"
         )
-    return ScaledKernel(x_j=float(x_j), r_j=1.0 - 1.0 / v, xi_angle=xi_angle)
+    r_j = 1.0 - 1.0 / v
+    if r_j == 1.0:
+        raise ValueError(
+            f"r_j = 1 - 1/Psi(x_j) rounds to 1 at x_j = {x_j:g}, Psi(x_j) = {v:g}:"
+            f" the scaled kernel is not representable in double precision"
+        )
+    return ScaledKernel(x_j=float(x_j), r_j=r_j, xi_angle=xi_angle)
 
 
 def make_evaluation_envelope(psi: OrliczFunction) -> EvaluationEnvelope:

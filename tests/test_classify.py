@@ -7,6 +7,7 @@ from orlicz_lab.classify import (
     CONDITIONS,
     InjectionReport,
     QuotientEstimate,
+    _PsiTable,
     _verdict_from_trends,
     check_condition,
     check_conjugate_delta2,
@@ -336,6 +337,24 @@ def test_classification_evaluates_psi_once(monkeypatch, psi):
     for c, ev in zip(CONDITIONS, rep.conditions):
         assert check_condition(psi, c, grid).to_dict() == ev.to_dict()
     assert check_conjugate_delta2(psi, grid).to_dict() == rep.conditions[-1].to_dict()
+
+
+@pytest.mark.parametrize("psi, other", [
+    (PowerFunction(3.3), ExpLogSquared()),
+    (build_counterexample(4), build_counterexample(4, 5.5)),
+], ids=["dense", "anchored"])
+def test_a_passed_table_changes_no_result(psi, other):
+    # a table built for another Psi, or without the A asked for, is not read:
+    # each check builds the table it needs and answers as on its own
+    grid = GrowthSampleGrid.default_for(psi)
+    rep = classify_injection(psi, grid)
+    for table in (_PsiTable(other, grid, grid.a_points), _PsiTable(psi, grid)):
+        for q in rep.q_a_table:
+            assert estimate_quotient(psi, q.a, grid, table=table).to_dict() == q.to_dict()
+        for c, ev in zip(CONDITIONS, rep.conditions):
+            assert check_condition(psi, c, grid, table=table).to_dict() == ev.to_dict()
+        conj = check_conjugate_delta2(psi, grid, table=table)
+        assert conj.to_dict() == rep.conditions[-1].to_dict()
 
 
 def _same_bits(a, b):

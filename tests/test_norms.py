@@ -18,8 +18,9 @@ from orlicz_lab import norms
 from orlicz_lab.norms import (
     DEFAULT_RADII,
     NormResult,
-    _luxemburg_core,
-    _weights_of,
+    _log_samples,
+    _samples,
+    _solve_logs,
     bergman_norm,
     bergman_norms,
     circle_norm,
@@ -150,8 +151,8 @@ def test_solidity():
     g_vals = f_vals * (1.0 + np.abs(rng.normal(size=dom.size)))
 
     for psi in ALL_PSIS:
-        nf = _luxemburg_core(psi, f_vals, w)[0]
-        ng = _luxemburg_core(psi, g_vals, w)[0]
+        nf = _solve_logs(psi, *_log_samples(f_vals, w))[0]
+        ng = _solve_logs(psi, *_log_samples(g_vals, w))[0]
         assert nf <= ng + 1e-8
 
 
@@ -341,7 +342,7 @@ def test_nonfinite_samples_raise(bad):
     av = np.ones(dom.size)
     av[[3, 7]] = bad
     with pytest.raises(ValueError, match="2 of 32 sample values are not finite"):
-        _luxemburg_core(P2, av, dom.weights)
+        _solve_logs(P2, *_log_samples(av, dom.weights))
     f = _SampledFunction(complex(bad, 0.0))
     with pytest.raises(ValueError, match="32 of 32"):
         luxemburg_norm(f, P2, dom)
@@ -363,7 +364,7 @@ class _FlooredPower(PowerFunction):
 def test_unclosed_lower_bracket_raises():
     dom = circle(32)
     with pytest.raises(ValueError, match="lower bracket"):
-        _luxemburg_core(_FlooredPower(2), np.ones(dom.size), dom.weights)
+        _solve_logs(_FlooredPower(2), *_log_samples(np.ones(dom.size), dom.weights))
     with pytest.raises(ValueError, match="lower bracket"):
         luxemburg_norm(make_monomial(3), _FlooredPower(2), dom)
 
@@ -429,9 +430,8 @@ def test_core_matches_mpmath_oracle(psi):
     rng = np.random.default_rng(500)
     f = make_polynomial(rng.normal(size=5) + 1j * rng.normal(size=5))
     for dom in (circle(16), disk(8, 4), circle(64)):
-        w = _weights_of(dom)
-        av = np.abs(f.values(dom.nodes()))
-        got = _luxemburg_core(psi, av, w)
+        av, w = next(_samples(f, dom))
+        got = _solve_logs(psi, *_log_samples(av, w))
         assert got.converged
         assert got.value == pytest.approx(_mp_luxemburg(psi.family, av, w), rel=1e-8)
 
@@ -440,30 +440,29 @@ def test_power_family_converges_in_two_steps():
     # log M is affine in log C, so the first secant lands on the root
     rng = np.random.default_rng(600)
     for dom in (circle(64), disk(64, 48), DiskDomain.polar(8, 320)):
-        w = _weights_of(dom)
         for _ in range(4):
             f = make_polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
-            av = np.abs(f.values(dom.nodes()))
+            av, w = next(_samples(f, dom))
             for p in (1.0, 1.5, 2.0, 4.0):
-                root = _luxemburg_core(PowerFunction(p), av, w)
+                root = _solve_logs(PowerFunction(p), *_log_samples(av, w))
                 assert root.converged and root.iters <= 2
                 assert abs(root.modular - 1.0) <= 1e-9
 
 
-def _counting_core(monkeypatch):
+def _counting_solves(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _luxemburg_core(*args)
+        return _solve_logs(*args)
 
-    monkeypatch.setattr(norms, "_luxemburg_core", counted)
+    monkeypatch.setattr(norms, "_solve_logs", counted)
     return calls
 
 
 def test_hardy_solves_once_for_monomials(monkeypatch):
     assert len(DEFAULT_RADII) == 21
-    calls = _counting_core(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     for psi in ALL_PSIS:
         for n in (1, 5, 64):
             calls.clear()
@@ -489,9 +488,10 @@ def test_hardy_flags_radius_monotonicity(monkeypatch):
     f = _ShrinkingDilates()
     dom = circle(64)
     for psi in ALL_PSIS:
-        brute = [_luxemburg_core(psi, np.abs(f.values(r * dom.nodes())), dom.weights).value
+        brute = [_solve_logs(psi, *_log_samples(np.abs(f.values(r * dom.nodes())),
+                                                dom.weights)).value
                  for r in DEFAULT_RADII]
-        calls = _counting_core(monkeypatch)
+        calls = _counting_solves(monkeypatch)
         r = hardy_norm(f, psi, dom=dom)
         assert "radius_monotonicity_violated" in r.flags
         assert r.value == max(brute)
@@ -589,7 +589,7 @@ def test_blocked_disk_sampling_is_the_whole_rule_sampling(f):
     # 2 blocks of 64 rows, and 6 blocks with a short last one
     for dom in (disk(512, 128), DiskDomain.kernel_refined(1.0 / 32.0, 0.4)):
         assert dom.size >= 2 * BLOCK
-        got, want = norms._abs_values(f, dom), np.abs(f.values(dom.nodes()))
+        got, want = next(_samples(f, dom))[0], np.abs(f.values(dom.nodes()))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -601,7 +601,7 @@ def test_blocked_envelope_sampling_still_refuses_the_boundary():
     dom = DiskDomain(r, np.full(20, 0.05), theta, np.full(4096, 1.0 / 4096), {"rule": "test"})
     assert dom.size > 2 * BLOCK
     with pytest.raises(ValueError, match="open disk"):
-        norms._abs_values(make_evaluation_envelope(P2), dom)
+        next(_samples(make_evaluation_envelope(P2), dom))
 
 
 def test_kernel_norm_memory_stays_bounded():

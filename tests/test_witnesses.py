@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from orlicz_lab.functions import PowerFunction, build_counterexample
+from orlicz_lab.functions import ExpMinusOne, PowerFunction, build_counterexample
 from orlicz_lab.witnesses import (
     make_evaluation_envelope,
     make_kernel_family,
@@ -61,6 +62,14 @@ def test_scaled_kernel_parameters():
 def test_scaled_kernel_rejects_small_psi():
     with pytest.raises(ValueError):
         make_scaled_kernel(PowerFunction(2), 1.0)  # Psi(1) = 1 <= 2
+
+
+@pytest.mark.parametrize("x_j", [40.0, 56.0])
+def test_scaled_kernel_names_a_radius_that_rounds_to_one(x_j):
+    # 1/Psi(x_j) is below half an ulp of 1, so r_j = 1 - 1/Psi(x_j) is 1.0
+    cause = f"r_j = 1 - 1/Psi(x_j) rounds to 1 at x_j = {x_j:g}, Psi(x_j) = {math.expm1(x_j):g}"
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        make_scaled_kernel(ExpMinusOne(), x_j)
 
 
 def test_scaled_kernel_evaluation_floor():
