@@ -175,18 +175,20 @@ class _PsiTable:
         tail = log_x[_tail_index(len(log_x)):]
         self.nabla_u = np.linspace(tail[0], tail[-1], 257) if len(tail) >= self.min_pts else tail[:0]
         hi = psi.trusted_log_hi + 1e-12
-        keys, points = [], [self.nabla_u]
+        # a dense grid's "grid" subgrid is series 0 itself: each (series,
+        # factor) point set is evaluated once, and its keys share the slice
+        sets, keys = {"nabla": self.nabla_u}, {}
         for i, s in enumerate(self.series):
             for f in dict.fromkeys((1.0,) + (tuple(a_points) if i == 0 else SWEEP_FACTORS)):
-                t = s
-                if f != 1.0:
+                keys[i, f] = id(s), f
+                if keys[i, f] not in sets:
                     t = s + math.log(f)
-                    t = t[:np.count_nonzero(t <= hi)]
-                keys.append((i, f))
-                points.append(t)
-        values = np.asarray(psi.eval_log(np.concatenate(points)))
-        self.nabla_v, *parts = np.split(values, np.cumsum([len(p) for p in points[:-1]]))
-        self.log_psi = dict(zip(keys, parts))
+                    sets[keys[i, f]] = s if f == 1.0 else t[:np.count_nonzero(t <= hi)]
+        values = np.asarray(psi.eval_log(np.concatenate(list(sets.values()))))
+        ends = np.cumsum([len(t) for t in sets.values()]).tolist()
+        parts = dict(zip(sets, (values[a:b] for a, b in zip([0] + ends, ends))))
+        self.nabla_v = parts["nabla"]
+        self.log_psi = {key: parts[k] for key, k in keys.items()}
 
 
 def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=(),

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .logdomain import LOG_DBL_MAX, log_add, log_diff, log_expm1
+from .logdomain import LOG_DBL_MAX, log1p_exp, log_add, log_diff, log_expm1
 
 CONVEXITY_TOL = 1e-9
 MAX_BISECT_STEPS = 200
@@ -27,6 +27,9 @@ MAX_BISECT_STEPS = 200
 # largest first-knot index sequence allowed before the quartic knot values
 # leave the exponent range of a double
 _MAX_KNOT_LOG = 708.0
+# ExpLogSquared's direct formulas underflow from log x = -354; below this
+# log-argument the leading term of its tiny-x expansion is exact to the bit
+_LOG_X_TINY = -300.0
 
 
 class EvaluationOverflow(OverflowError):
@@ -213,20 +216,20 @@ class ExpLogSquared(OrliczFunction):
 
     family = "exp_log_squared"
 
-    def __init__(self):
-        super().__init__()
-
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
         # log(1 + x) computed from log x without forming x
-        l1p = np.logaddexp(0.0, lx)
+        l1p = log1p_exp(lx)
         out = log_expm1(l1p * l1p)
+        if lx.size and lx.min() < _LOG_X_TINY:  # log Psi(x) = 2 log x + O(x)
+            out = np.where(lx < _LOG_X_TINY, 2.0 * lx, out)
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
-        root = np.sqrt(np.logaddexp(0.0, ly))
-        out = log_expm1(root)
+        out = log_expm1(np.sqrt(log1p_exp(ly)))
+        if ly.size and ly.min() < _LOG_X_TINY:  # log Psi^-1(y) = (log y) / 2 + O(sqrt y)
+            out = np.where(ly < _LOG_X_TINY, 0.5 * ly, out)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_spec(self):
@@ -239,18 +242,13 @@ class ExpMinusOne(OrliczFunction):
 
     family = "exp_minus_one"
 
-    def __init__(self):
-        super().__init__()
-
     def eval_log(self, log_x):
-        x = np.exp(_as_float_array(log_x))
-        out = log_expm1(x)
-        return float(out) if np.ndim(out) == 0 else out
+        return log_expm1(np.exp(_as_float_array(log_x)))
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
         with np.errstate(divide="ignore"):
-            out = np.log(np.logaddexp(0.0, ly))
+            out = np.log(log1p_exp(ly))
         return float(out) if np.ndim(out) == 0 else out
 
     def to_spec(self):

@@ -16,6 +16,11 @@ def log_add(a, b):
     return np.logaddexp(a, b)
 
 
+def log1p_exp(s):
+    """log(1 + exp(s)) elementwise: np.logaddexp(0, s) as a vectorized formula."""
+    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
+
+
 def log_diff(a, b):
     """log(exp(a) - exp(b)) for a >= b, elementwise; -inf when equal."""
     a = np.asarray(a, dtype=float)

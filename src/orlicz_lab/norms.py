@@ -3,8 +3,11 @@
 The Luxemburg norm of f is the smallest C > 0 whose modular, the integral of
 Psi(|f|/C), does not exceed 1.  The modular is monotone non-increasing in C,
 and log M is a monotone function of log C (affine for power functions), so
-the norm is the root of log M(log C) = 0, found by Illinois regula falsi on
-log C with a bisection step whenever the secant leaves the bracket.  All
+the norm is the root of log M(log C) = 0.  Every rule is a probability
+measure, so for convex Psi Jensen's inequality puts the root between
+mean|f| / Psi^-1(1) and max|f| / Psi^-1(1) (loops that halve or double C
+widen an end that does not bracket); Anderson-Bjorck regula falsi on log C,
+with a bisection step whenever the secant leaves the bracket, closes it.  All
 modular accumulation happens in the log domain via logsumexp, which keeps
 piecewise functions with 1e188-sized knot values honest.
 
@@ -51,7 +54,6 @@ QUAD_REL_TOL = 1e-3
 # steps that grow either end of the initial bracket by a factor of 2
 _BRACKET_STEPS = 80
 _LOG2 = math.log(2.0)
-_LOG_TINY = math.log(1e-300)
 
 DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
 
@@ -133,22 +135,22 @@ class _Root(NamedTuple):
 
 
 def _solve_logs(psi, log_av, log_w) -> _Root:
-    """Root of log M(log C) = 0 by Illinois regula falsi on log C, with a
-    bisection step whenever the secant leaves the bracket or an end value is
-    not finite.  Returns the value, its bracket, the root-finder step count,
-    the modular at the value, a convergence flag and log max |f|."""
+    """Root of log M(log C) = 0 by Anderson-Bjorck regula falsi on log C from
+    Jensen's bracket (see the module docstring), with a bisection step
+    whenever the secant leaves the bracket or an end value is not finite.
+    Returns the value, its bracket, the root-finder step count, the modular
+    at the value, a convergence flag and log max |f|."""
     if log_av.size == 0:
         return _Root(0.0, (0.0, 0.0), 0, 0.0, True, -math.inf)
 
     def g(s):
         return _log_modular(psi, log_av, log_w, s)
 
-    k = int(np.argmax(log_av))
-    log_peak = float(log_av[k])
-    # C_lo: the peak node alone already pushes the modular to >= 1
-    s_lo = log_peak - float(psi.inverse_log(min(-float(log_w[k]), -_LOG_TINY)))
-    # C_hi: Psi(peak/C) <= eps bounds the whole modular by eps
-    s_hi = log_peak - max(float(psi.inverse_log(math.log(1e-12))), _LOG_TINY)
+    log_peak = float(np.max(log_av))
+    # Psi(mean|f|/C) <= M(C) <= Psi(max|f|/C) for convex Psi and total mass 1
+    log_inv1 = float(psi.inverse_log(0.0))
+    s_lo = log_sum(log_av + log_w) - log_inv1 - 1e-9
+    s_hi = log_peak - log_inv1 + 1e-9
     for _ in range(_BRACKET_STEPS):
         g_lo = g(s_lo)
         if g_lo >= 0.0:
@@ -184,15 +186,19 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
         if abs(m - 1.0) <= TOL_MODULAR:
             value = math.exp(s)
             return _Root(value, (value, value), iters, m, True, log_peak)
+        # an end replaced twice in a row scales the other end's value by
+        # 1 - g_new / g_replaced, or by 1/2 when that is not positive
         if g_s > 0.0:
-            s_lo, g_lo = s, g_s
             if kept == 1:
-                g_hi *= 0.5
+                scale = 1.0 - g_s / g_lo
+                g_hi *= scale if scale > 0.0 else 0.5
+            s_lo, g_lo = s, g_s
             kept = 1
         else:
-            s_hi, g_hi = s, g_s
             if kept == -1:
-                g_lo *= 0.5
+                scale = 1.0 - g_s / g_hi
+                g_lo *= scale if scale > 0.0 else 0.5
+            s_hi, g_hi = s, g_s
             kept = -1
         if -math.expm1(s_lo - s_hi) <= BRACKET_REL_TOL:  # c_hi - c_lo <= tol * c_hi
             converged = True

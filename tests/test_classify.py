@@ -339,6 +339,23 @@ def test_classification_evaluates_psi_once(monkeypatch, psi):
     assert check_conjugate_delta2(psi, grid).to_dict() == rep.conditions[-1].to_dict()
 
 
+def test_dense_table_evaluates_each_point_set_once(monkeypatch):
+    # a dense grid's "grid" subgrid is series 0 itself: its shifts by 1, 2, 4
+    # and 8 are evaluated once and shared, leaving the 257 nabla points, six
+    # shifts of the 200 grid points and five of the 199 midpoints
+    psi = PowerFunction(3.3)
+    grid = GrowthSampleGrid.default_for(psi)
+    calls = _counted_eval_log(monkeypatch, psi)
+    table = _PsiTable(psi, grid, grid.a_points)
+    assert calls == [257 + 6 * 200 + 5 * 199]
+    assert table.series[1] is table.series[0]
+    for f in (1.0, 2.0, 4.0, 8.0):
+        assert table.log_psi[1, f] is table.log_psi[0, f]
+    for (i, f), values in table.log_psi.items():
+        t = table.series[i] + math.log(f)
+        assert np.array_equal(values, psi.eval_log(t[:len(values)]))
+
+
 @pytest.mark.parametrize("psi, other", [
     (PowerFunction(3.3), ExpLogSquared()),
     (build_counterexample(4), build_counterexample(4, 5.5)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,3 +448,39 @@ def test_eval_log_is_per_element(psi):
     for n in range(1, 258):
         for start in (0, 1, 3, 300 - n):
             assert _bitwise(psi.eval_log(pool[start:start + n]), scalar[start:start + n]), (n, start)
+
+
+def _mp_exp_log_squared(mpmath, log_x, inverse):
+    """log Psi(e^log_x), or log Psi^-1(e^log_x), written directly in mpmath."""
+    t = mpmath.exp(mpmath.mpf(float(log_x)))
+    if inverse:
+        return float(mpmath.log(mpmath.expm1(mpmath.sqrt(mpmath.log1p(t)))))
+    return float(mpmath.log(mpmath.expm1(mpmath.log1p(t) ** 2)))
+
+
+# a few roundings on values of size max(1, |log Psi|) bound the error: ulps
+# of log Psi where |log Psi| >= 1, eps below, where log Psi crosses 0 with a
+# slope of about 2 in s = log(1 + x)^2 and its own ulps shrink to nothing
+EXP_LOG_SQUARED_ULPS = 4
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["eval_log", "inverse_log"])
+def test_exp_log_squared_matches_mpmath(inverse):
+    mpmath = pytest.importorskip("mpmath")
+    psi = ExpLogSquared()
+    method = psi.inverse_log if inverse else psi.eval_log
+    pts = np.concatenate([np.linspace(-745.0, 700.0, 1446), np.linspace(-2.0, 2.0, 401)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = method(pts)
+        scalars = [method(float(p)) for p in pts[::7]]
+        assert method(np.array([])).shape == (0,)
+    assert np.all(np.isfinite(got))
+    with mpmath.workdps(60):
+        want = np.array([_mp_exp_log_squared(mpmath, p, inverse) for p in pts])
+    eps = np.finfo(float).eps
+    bound = EXP_LOG_SQUARED_ULPS * np.where(np.abs(want) >= 1.0, np.spacing(np.abs(want)), eps)
+    bad = np.abs(got - want) > bound
+    assert not np.any(bad), list(zip(pts[bad], got[bad], want[bad]))[:5]
+    for g, w, b, s in zip(got[::7], want[::7], bound[::7], scalars):
+        assert type(s) is float and abs(s - w) <= b, (g, s, w)

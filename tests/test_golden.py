@@ -14,11 +14,11 @@ from orlicz_lab.functions import ExpLogSquared, PowerFunction, arg_square, build
 from orlicz_lab.suites import SUITE_NAMES, run_suite
 
 SUITE_DIGESTS = {
-    "contraction": "bcf2b5759eeb92a1ddf552027ce5b3e486f430237cd3e96b7fecbc104ef49b8c",
+    "contraction": "f1e536bbeb7377496f9500e660dcb64cc58f3828eaae5643b56d403872bc3d88",
     "carleson": "33dcf21f58a16b9bdd73ef9aaaf7cfc45b3bb52e897b287357e6e138b0f0fb45",
-    "monomial": "0ed9d361243bb52c1f17361cd0e73cf922277b314438834c431ea0f2d4837274",
-    "kernel": "b7a38b87f76ba80f7538e208fc0ac55318802d3465ad7d72245acc3c43fb80ab",
-    "evaluation": "1ccfd782a68f50c729ceffc9e7cfacff29e3b8c50584066a121aade4aa10bfdc",
+    "monomial": "5d0e509692a7ed067782bfd3aebeddbf422f13e0dc207e1a4716ed1f41d1e0ac",
+    "kernel": "1b6706aa3713924e96bf00f38ca879cfb7daef616b566920f6466dffa13a0574",
+    "evaluation": "920842797295e7d81eca8b3fc995cad11dbe764a0bb74fc997f6ccaf23c2913c",
     "counterexample": "ad77645c1384f7b20369acc2fb9abd5764bd06c0736efa3a7bfca320b5b0a269",
     "order": "1aa27f6c9d832d678adbdc6b3da1cf803cb8d711deee9650aeb08d71755c8705",
 }
@@ -31,7 +31,7 @@ CLASSIFIED = {
         (build_counterexample(4),
          "fbda3b23826dc0e57d9a12d351f119f593abdad23af869cc2dcdf53d53cdcf94"),
         (arg_square(ExpLogSquared()),
-         "f1e04d06ab064bb24e72dee6246640e6f7812dd705e75afabb5829cee5759763"),
+         "ade9c408b6655a265e7339453b09557473ad01b555f73fab7376ca3fecab2f89"),
     )
 }
 

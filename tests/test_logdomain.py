@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orlicz_lab.logdomain import log_add, log_diff, log_expm1, log_sum
+from orlicz_lab.logdomain import log1p_exp, log_add, log_diff, log_expm1, log_sum
 
 
 def test_log_add_matches_linear():
@@ -97,3 +97,18 @@ def test_log_sum_leaves_its_terms_unwritten():
     before = terms.copy()
     assert math.isclose(log_sum(terms), math.log(36.0), rel_tol=1e-15)
     assert np.array_equal(terms, before)
+
+
+def test_log1p_exp_is_logaddexp_within_two_ulps():
+    s = np.linspace(-800.0, 800.0, 20001)
+    got, want = log1p_exp(s), np.logaddexp(0.0, s)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+    assert float(log1p_exp(0.0)) == math.log(2.0)
+
+
+def test_log1p_exp_edges_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log1p_exp(np.array([-np.inf, -745.0, 745.0, np.inf, np.nan]))
+    assert out[0] == 0.0 and out[1] == 5e-324 and out[2] == 745.0
+    assert out[3] == np.inf and np.isnan(out[4])

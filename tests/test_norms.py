@@ -14,6 +14,7 @@ from orlicz_lab.functions import (
     square_compose,
 )
 from orlicz_lab.logdomain import log_sum
+from orlicz_lab.suites import suite_contraction
 from orlicz_lab import norms
 from orlicz_lab.norms import (
     DEFAULT_RADII,
@@ -449,6 +450,63 @@ def test_power_family_converges_in_two_steps():
                 assert abs(root.modular - 1.0) <= 1e-9
 
 
+_CONVEX_BASES = (PowerFunction(1.0), PowerFunction(1.5), P2, PowerFunction(4.0), ExpLogSquared(),
+                 ExpMinusOne(), build_counterexample(4), build_counterexample(4, 5.0))
+CONVEX_PSIS = (_CONVEX_BASES + tuple(square_compose(p) for p in _CONVEX_BASES)
+               + tuple(arg_square(p) for p in _CONVEX_BASES))
+
+
+def _recorded_log_modulars(monkeypatch):
+    """The log modulars a solve evaluates, in order."""
+    logs = []
+    inner = norms._log_modular
+
+    def recorded(*args):
+        logs.append(inner(*args))
+        return logs[-1]
+
+    monkeypatch.setattr(norms, "_log_modular", recorded)
+    return logs
+
+
+@pytest.mark.parametrize("psi", CONVEX_PSIS, ids=lambda psi: psi.label)
+def test_jensen_bracket_needs_no_safeguard_step(monkeypatch, psi):
+    # on a probability rule Psi(mean|f|/C) <= M(C) <= Psi(max|f|/C), so the
+    # first two modulars of a solve, at C = mean|f| / Psi^-1(1) and
+    # C = max|f| / Psi^-1(1), are >= 1 and <= 1
+    rng = np.random.default_rng(900)
+    constant = make_polynomial([2.5])
+    witnesses = [make_monomial(5), make_kernel_squared(1.0 / 8.0, 0.3), constant]
+    witnesses += [make_polynomial(scale * (rng.normal(size=8) + 1j * rng.normal(size=8)))
+                  for scale in (0.01, 1.0, 30.0)]
+    logs = _recorded_log_modulars(monkeypatch)
+    for dom in (circle(64), disk(64, 48)):
+        for f in witnesses:
+            av, w = next(_samples(f, dom))
+            del logs[:]
+            root = _solve_logs(psi, *_log_samples(av, w))
+            assert logs[0] >= 0.0 >= logs[1], (f.label, dom.describe())
+            assert root.converged
+            if f is constant:
+                # the bracket is [C - 1e-9 C, C + 1e-9 C] about the root C
+                assert root.value == pytest.approx(2.5 / psi.inverse(1.0), rel=1e-8)
+
+
+def test_non_probability_weights_close_through_the_safeguards(monkeypatch):
+    # total mass 3 breaks Jensen's bracket: at p = 1 the modular at the upper
+    # end is about 3 mean|f| / max|f| > 1, at p > 1 the one at the lower end
+    # about 3^(1-p) < 1; the safeguard loops widen that end
+    dom = circle(64)
+    av, w = np.abs(make_polynomial([2.0, 0.3]).values(dom.nodes())), 3.0 * dom.weights
+    logs = _recorded_log_modulars(monkeypatch)
+    for p in (1.0, 1.5, 2.0, 4.0):
+        del logs[:]
+        root = _solve_logs(PowerFunction(p), *_log_samples(av, w))
+        assert not logs[0] >= 0.0 >= logs[1]
+        assert root.converged
+        assert root.value == pytest.approx(float(np.sum(w * av**p)) ** (1.0 / p), rel=1e-8)
+
+
 def _counting_solves(monkeypatch):
     calls = []
 
@@ -458,6 +516,42 @@ def _counting_solves(monkeypatch):
 
     monkeypatch.setattr(norms, "_solve_logs", counted)
     return calls
+
+
+def test_modular_budget_per_bergman_solve(monkeypatch):
+    # modular evaluations per solve on the disk(256, 96) rule of the
+    # contraction suite: a count, so the bracket and step rule are guarded
+    # without timing anything (a peak-node bracket with Illinois steps took
+    # 8.98 for exp_log_squared and 6.0 for the counterexample)
+    rule = disk(256, 96).describe()
+    state, counts = {"n": 0, "on_rule": False}, {}
+    inner_sweep, inner_solve, inner_modular = norms._sweep, norms._solve_logs, norms._log_modular
+
+    def sweep(f, dom, psis, radii):
+        state["on_rule"] = dom.describe() == rule
+        return inner_sweep(f, dom, psis, radii)
+
+    def solve(psi, log_av, log_w):
+        state["n"] = 0
+        root = inner_solve(psi, log_av, log_w)
+        if state["on_rule"]:
+            counts.setdefault(psi.family, []).append(state["n"])
+        return root
+
+    def log_modular(*args):
+        state["n"] += 1
+        return inner_modular(*args)
+
+    monkeypatch.setattr(norms, "_sweep", sweep)
+    monkeypatch.setattr(norms, "_solve_logs", solve)
+    monkeypatch.setattr(norms, "_log_modular", log_modular)
+    suite_contraction()
+    mean = {family: sum(n) / len(n) for family, n in counts.items()}
+    # the monomial, the constant and 50 random polynomials, under each Psi
+    assert sorted(map(len, counts.values())) == [52, 52, 52]
+    assert mean["power"] == 3.0
+    assert mean["exp_log_squared"] <= 7.0
+    assert mean["paper_counterexample"] <= 4.0
 
 
 def test_hardy_solves_once_for_monomials(monkeypatch):
