@@ -27,8 +27,9 @@ MAX_BISECT_STEPS = 200
 # largest first-knot index sequence allowed before the quartic knot values
 # leave the exponent range of a double
 _MAX_KNOT_LOG = 708.0
-# ExpLogSquared's direct formulas underflow from log x = -354; below this
-# log-argument the leading term of its tiny-x expansion is exact to the bit
+# the direct formulas of ExpLogSquared and ExpMinusOne underflow from log x
+# = -354 and -708; below this log-argument the leading term of their tiny-x
+# expansions is exact to the bit
 _LOG_X_TINY = -300.0
 
 
@@ -243,12 +244,18 @@ class ExpMinusOne(OrliczFunction):
     family = "exp_minus_one"
 
     def eval_log(self, log_x):
-        return log_expm1(np.exp(_as_float_array(log_x)))
+        lx = _as_float_array(log_x)
+        out = log_expm1(np.exp(lx))
+        if lx.size and lx.min() < _LOG_X_TINY:  # log Psi(x) = log x + O(x)
+            out = np.where(lx < _LOG_X_TINY, lx, out)
+        return float(out) if np.ndim(out) == 0 else out
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
         with np.errstate(divide="ignore"):
             out = np.log(log1p_exp(ly))
+        if ly.size and ly.min() < _LOG_X_TINY:  # log Psi^-1(y) = log y + O(y)
+            out = np.where(ly < _LOG_X_TINY, ly, out)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_spec(self):

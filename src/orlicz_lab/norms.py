@@ -72,14 +72,12 @@ class NormResult(Record):
 
 def _samples(f, dom, radii=(None,)):
     """(|f|, weights) on the rule for each radius in turn: None samples the
-    rule itself (a disk rule in blocks of radial rows), r the circle's nodes
-    dilated by r.  The nodes are built once for every radius."""
-    if isinstance(dom, DiskDomain):
-        yield dom.map_nodes(lambda z: np.abs(f.values(z))), dom.weights()
-        return
-    z = dom.nodes()
+    rule's nodes, r those nodes dilated by r (a circle is the polar rule of
+    the one radius 1), in blocks of radial rows.  The weights are built after
+    the sampling pass, so they are not held through it, and no local name
+    keeps either array alive once the consumer drops it."""
     for r in radii:
-        yield np.abs(f.values(z if r is None else r * z)), dom.weights
+        yield dom.map_nodes(lambda z: np.abs(f.values(z if r is None else r * z))), dom._weights()
 
 
 def _log_samples(abs_values, weights):
@@ -217,7 +215,8 @@ def _sweep(f, dom, psis, radii) -> tuple:
     costs one modular at that Psi's current sup, and is solved only when that
     modular exceeds 1 (its norm is then larger).  The modular at the value on
     the half-resolution companion of dom gives the quadrature error; that
-    rule is built, and sampled once per radius, only when a value needs it."""
+    rule is built, and sampled once per radius, only when a value needs it.
+    A rule with no coarser companion gets an infinite error estimate."""
     best, where, top = [None] * len(psis), [None] * len(psis), []
     for r, logs in zip(radii, starmap(_log_samples, _samples(f, dom, radii))):
         for i, psi in enumerate(psis):
@@ -243,10 +242,16 @@ def _sweep(f, dom, psis, radii) -> tuple:
             flags.append("not_converged")
         quad_err = 0.0
         if value > 0.0 and math.isfinite(value):
-            if r not in half_logs:
-                half = half or dom.half_resolution()
-                half_logs[r] = _log_samples(*next(_samples(f, half, (r,))))
-            m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
+            if half is None:
+                try:
+                    half = dom.half_resolution()
+                except ValueError:  # dom sits at the floors of its recipe
+                    half = False
+            m_half = math.inf  # without a companion the estimate is infinite
+            if half:
+                if r not in half_logs:
+                    half_logs[r] = _log_samples(*next(_samples(f, half, (r,))))
+                m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
             else:

@@ -67,6 +67,27 @@ def test_boundary_refined_reaches_deep():
         DiskDomain.boundary_refined(k_max=41)
 
 
+def _params(dom):
+    return {k: v for k, v in dom.describe().items() if k != "size"}
+
+
+# per rule kind: a rule, then the parameters of its half-resolution companion
+# and of its refinements by 1 and 2 levels
+DERIVED = [
+    (circle(64), [{"n_theta": 32}, {"n_theta": 128}, {"n_theta": 256}]),
+    (CircleDomain.refined(0.3, 0.01),
+     [dict(focus_angle=0.3, scale=0.01, n_coarse=n, levels=lv, nodes_per_panel=npp)
+      for n, lv, npp in ((128, 8, 8), (512, 12, 16), (1024, 14, 16))]),
+    (disk(64, 32), [dict(n_theta=nt, n_radial=nr) for nt, nr in ((32, 16), (128, 64), (256, 128))]),
+    (DiskDomain.kernel_refined(1.0 / 32.0, 0.7),
+     [dict(scale=1.0 / 32.0, focus_angle=0.7, n_radial_base=n, nodes_per_panel=npp)
+      for n, npp in ((32, 12), (128, 32), (256, 40))]),
+    (DiskDomain.boundary_refined(16, 12, 32),
+     [dict(k_max=k, nodes_per_panel=npp, n_theta=nt)
+      for k, npp, nt in ((8, 6, 16), (26, 12, 32), (36, 12, 32))]),
+]
+
+
 def test_half_resolution_and_refine():
     d = disk(64, 32)
     assert d.half_resolution().size < d.size
@@ -74,6 +95,44 @@ def test_half_resolution_and_refine():
     c = circle(64)
     assert c.half_resolution().size == 32
     assert c.refine(2).size == 256
+    for dom, params in DERIVED:
+        derived = [dom.half_resolution(), dom.refine(1), dom.refine(2)]
+        fixed = {"rule": dom.describe()["rule"], "kind": dom.kind}
+        assert [_params(d) for d in derived] == [dict(p, **fixed) for p in params]
+        assert _params(dom.refine(0)) == _params(dom)
+        sizes = [derived[0].size, dom.size, derived[1].size, derived[2].size]
+        assert sizes == sorted(set(sizes)), (fixed, sizes)
+
+
+@pytest.mark.parametrize("dom", [
+    circle(16), disk(16, 8), DiskDomain.boundary_refined(8, 6, 16),
+    CircleDomain.refined(0.0, 0.01, 64, 4, 6), DiskDomain.kernel_refined(0.01, 0.0, 16, 8),
+], ids=lambda dom: dom.describe()["rule"])
+def test_half_resolution_refuses_the_floors_of_the_recipe(dom):
+    with pytest.raises(ValueError, match="has no coarser companion"):
+        dom.half_resolution()
+
+
+def test_a_rule_built_directly_has_no_derived_rules():
+    dom = DiskDomain(np.array([0.5]), np.array([1.0]), np.zeros(1), np.ones(1), {"rule": "direct"})
+    with pytest.raises(ValueError, match="has no coarser companion"):
+        dom.half_resolution()
+    with pytest.raises(ValueError, match="has no refinement recipe"):
+        dom.refine(1)
+
+
+@pytest.mark.parametrize("dom", [circle(64), CircleDomain.refined(0.3, 0.01),
+                                 CircleDomain.uniform(BLOCK + 1)],
+                         ids=["uniform", "refined", "wider_than_a_block"])
+def test_circle_is_the_one_radius_polar_rule(dom):
+    assert _same_bits(dom.r, np.ones(1)) and _same_bits(dom.r_weights, np.ones(1))
+    assert _same_bits(dom.nodes(), np.exp(1j * dom.theta))
+    assert _same_bits(dom.weights, dom.theta_weights)
+    assert _same_bits(dom._weights(), dom.theta_weights)
+    blocks = []
+    got = dom.map_nodes(lambda z: blocks.append(z.size) or np.abs(z - 0.5))
+    assert blocks == [dom.size]
+    assert _same_bits(got, np.abs(np.exp(1j * dom.theta) - 0.5))
 
 
 def _same_bits(a, b):

@@ -450,9 +450,12 @@ def test_eval_log_is_per_element(psi):
             assert _bitwise(psi.eval_log(pool[start:start + n]), scalar[start:start + n]), (n, start)
 
 
-def _mp_exp_log_squared(mpmath, log_x, inverse):
-    """log Psi(e^log_x), or log Psi^-1(e^log_x), written directly in mpmath."""
+def _mp_log_psi(mpmath, psi, log_x, inverse):
+    """log Psi(e^log_x), or log Psi^-1(e^log_x), written directly in mpmath
+    for ExpLogSquared and ExpMinusOne."""
     t = mpmath.exp(mpmath.mpf(float(log_x)))
+    if isinstance(psi, ExpMinusOne):
+        return float(mpmath.log(mpmath.log1p(t) if inverse else mpmath.expm1(t)))
     if inverse:
         return float(mpmath.log(mpmath.expm1(mpmath.sqrt(mpmath.log1p(t)))))
     return float(mpmath.log(mpmath.expm1(mpmath.log1p(t) ** 2)))
@@ -464,10 +467,13 @@ def _mp_exp_log_squared(mpmath, log_x, inverse):
 EXP_LOG_SQUARED_ULPS = 4
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["eval_log", "inverse_log"])
-def test_exp_log_squared_matches_mpmath(inverse):
+# the ExpLogSquared cases keep their plain ids
+@pytest.mark.parametrize("psi, inverse", [
+    (ExpLogSquared(), False), (ExpLogSquared(), True),
+    (ExpMinusOne(), False), (ExpMinusOne(), True),
+], ids=["eval_log", "inverse_log", "exp_minus_one-eval_log", "exp_minus_one-inverse_log"])
+def test_exp_log_squared_matches_mpmath(psi, inverse):
     mpmath = pytest.importorskip("mpmath")
-    psi = ExpLogSquared()
     method = psi.inverse_log if inverse else psi.eval_log
     pts = np.concatenate([np.linspace(-745.0, 700.0, 1446), np.linspace(-2.0, 2.0, 401)])
     with warnings.catch_warnings():
@@ -477,7 +483,7 @@ def test_exp_log_squared_matches_mpmath(inverse):
         assert method(np.array([])).shape == (0,)
     assert np.all(np.isfinite(got))
     with mpmath.workdps(60):
-        want = np.array([_mp_exp_log_squared(mpmath, p, inverse) for p in pts])
+        want = np.array([_mp_log_psi(mpmath, psi, p, inverse) for p in pts])
     eps = np.finfo(float).eps
     bound = EXP_LOG_SQUARED_ULPS * np.where(np.abs(want) >= 1.0, np.spacing(np.abs(want)), eps)
     bad = np.abs(got - want) > bound

@@ -102,6 +102,20 @@ def test_luxemburg_monomials_disk():
         assert r.value == pytest.approx((2.0 / (n * p + 2.0)) ** (1.0 / p), abs=1e-9)
 
 
+def test_a_rule_at_the_floors_of_its_recipe_has_no_error_estimate():
+    # the half-resolution recipes of disk(16, 8) and circle(16) give back the
+    # rules themselves, whose modulars would read as a zero error
+    f = make_kernel_squared(1.0 / 64.0)
+    for r in (bergman_norm(f, build_counterexample(4), disk(16, 8)),
+              hardy_norm(f, PowerFunction(2), dom=circle(16)),
+              luxemburg_norm(make_monomial(3), PowerFunction(2), circle(16))):
+        assert r.converged and r.value > 0.0
+        assert r.quad_error_est == math.inf and "quadrature_unresolved" in r.flags
+    # polar(8, 320) halves to polar(16, 160): as many nodes, but another rule
+    r = luxemburg_norm(make_monomial(3), PowerFunction(2), DiskDomain.polar(8, 320))
+    assert r.quad_error_est < 1e-12 and r.flags == ()
+
+
 def test_power_oracle_agreement():
     rng = np.random.default_rng(100)
     circ = circle(256)
@@ -113,7 +127,7 @@ def test_power_oracle_agreement():
         for p in (1.0, 2.0, 4.0):
             psi = PowerFunction(p)
             for dom in (circ, dk):
-                w = dom.weights() if hasattr(dom, "r") else dom.weights
+                w = dom.weights() if isinstance(dom, DiskDomain) else dom.weights
                 av = np.abs(f.values(dom.nodes()))
                 oracle = float(np.sum(w * av**p)) ** (1.0 / p)
                 got = luxemburg_norm(f, psi, dom).value
