@@ -11,21 +11,18 @@ with a bisection step whenever the secant leaves the bracket, closes it.  All
 modular accumulation happens in the log domain via logsumexp, which keeps
 piecewise functions with 1e188-sized knot values honest.
 
-luxemburg_norms, bergman_norms and hardy_norms run one sweep over radii: the
-rule itself for the first two, the Hardy radii largest first for the last.
-The sweep samples f once per radius (and on the half-resolution companion),
-keeps only the logs, and solves each Psi of a tuple against them: the first
-radius outright, a later one only when its modular at that Psi's current sup
-exceeds 1.  luxemburg_norm, bergman_norm, hardy_norm and circle_norm are
-these with a single Psi.
+luxemburg_norms, bergman_norms and hardy_norms (luxemburg_norm, bergman_norm,
+hardy_norm and circle_norm for one Psi) run one sweep: the rule itself, or the
+Hardy radii largest first in blocks of whole rows.  Each Psi is solved against
+the shared logs of |f|: the first radius outright, a later one only when its
+modular at the Psi's sup exceeds 1, checked for a block's rows at once until
+the sup rises (bitwise the row-by-row values).
 
-Memory: disk rules are sampled, and every modular is evaluated, in blocks of
-at most domains.BLOCK = 2**15 points written into one full-length buffer, so
-a solve holds at full length only the logs of |f|, the logs of the weights
-and that buffer of log-terms (with one copy of it inside log_sum, which
-leaves its input unwritten).  Every element is computed as on the whole
-rule, and the max, exp and pairwise sum of the log-sum-exp run on the whole
-buffer, so the values are bitwise those of whole-rule evaluation.
+Memory: rules are sampled, and modulars evaluated, in blocks of at most
+domains.BLOCK = 2**15 points (at least one row), so a solve holds at full
+length only the logs of |f| and of the weights and one buffer of log-terms
+(copied once in log_sum).  The max, exp and pairwise sum of the log-sum-exp
+run on the whole buffer, so values are bitwise those of whole-rule evaluation.
 
 A function outside the space never produces a silent wrong value: the search
 reports converged=False with an unbounded upper bracket instead.  Non-finite
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +94,12 @@ def _log_samples(abs_values, weights):
 def _log_modular(psi, log_av, log_w, log_c):
     """log of the modular at scale exp(log_c): eval_log on blocks of at most
     BLOCK points into one buffer, then one log-sum-exp; -inf for the zero
-    function."""
+    function.  Rows of a 2-d log_av get their values, bit for bit, at once."""
+    if log_av.ndim == 2:
+        t = log_w + psi.eval_log((log_av - log_c).ravel()).reshape(log_av.shape)
+        m = np.max(t, axis=1)
+        with np.errstate(invalid="ignore"):  # a row with no finite max keeps it
+            return np.where(np.isfinite(m), m + np.log(np.sum(np.exp(t - m[:, None]), 1)), m)
     t = np.empty_like(log_av)
     for i in range(0, log_av.size, BLOCK):
         j = i + BLOCK
@@ -207,32 +208,47 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
                  log_peak)
 
 
-def _sweep(f, dom, psis, radii) -> tuple:
-    """One NormResult per Psi: the largest norm of f over the radii, taken
-    in the order given (None: the rule itself; r: the circle's nodes dilated
-    by r).  |f| is sampled once per radius, and only its logs are kept and
-    shared by every Psi.  The first radius is solved outright; a later one
-    costs one modular at that Psi's current sup, and is solved only when that
-    modular exceeds 1 (its norm is then larger).  The modular at the value on
-    the half-resolution companion of dom gives the quadrature error; that
-    rule is built, and sampled once per radius, only when a value needs it.
-    A rule with no coarser companion gets an infinite error estimate."""
-    best, where, top = [None] * len(psis), [None] * len(psis), []
-    for r, logs in zip(radii, starmap(_log_samples, _samples(f, dom, radii))):
-        for i, psi in enumerate(psis):
-            if best[i] is None:
-                best[i], where[i] = _solve_logs(psi, *logs), r
-                top.append(best[i].value)
-            elif not (best[i].value > 0.0
-                      and _log_modular(psi, *logs, math.log(best[i].value)) <= 0.0):
-                root = _solve_logs(psi, *logs)
-                if root.value > best[i].value:
-                    best[i], where[i] = root, r
-    del logs  # the companion rule is sampled without the logs of this one
+def _radius_sups(f, dom, psis, radii, sups):
+    """Updates each Psi's [root, radius, first value] to the largest norm of
+    f_r over the radii on the circle dom.  Blocks of whole rows of at most
+    BLOCK points (the first radius alone) are sampled by one f.values call
+    each; a Psi checks a block's rows at once until its sup rises, so at most
+    one block is checked at a stale sup, and none if every radius beats it."""
+    edges = sorted({0, *range(1, len(radii), max(BLOCK // dom.size, 1)), len(radii)})
+    for rows in (radii[b:e] for b, e in zip(edges, edges[1:])):
+        z, w = dom.nodes(), dom._weights()
+        av = np.abs(f.values(np.outer(rows, z).ravel())).reshape(len(rows), z.size)
+        # a row with a zero of f or a non-finite sample goes through _log_samples
+        full = np.all((av > 0.0) & (av < math.inf), axis=1)
+        lg, log_w = np.log(av[full]), np.log(w)
+        it = iter(lg)
+        logs = [(next(it), log_w) if ok else _log_samples(a, w) for ok, a in zip(full, av)]
+        for psi, s in zip(psis, sups):
+            batch = s[0].value == s[2] > 0.0 and iter(_log_modular(psi, lg, log_w, math.log(s[2])))
+            for r, ok, row in zip(rows, full, logs):
+                v = s[0].value
+                if v > 0.0 and (next(batch) if ok and batch
+                                else _log_modular(psi, *row, math.log(v))) <= 0.0:
+                    continue
+                root = _solve_logs(psi, *row)
+                if root.value > v:
+                    s[:2], batch = (root, r), None
 
-    half, half_logs = None, {}
-    out = []
-    for psi, root, r, t in zip(psis, best, where, top):
+
+def _sweep(f, dom, psis, radii) -> tuple:
+    """One NormResult per Psi: the largest norm of f over the radii in order
+    (None: the rule itself; r: the circle's nodes dilated by r), the first
+    solved outright, the later ones in blocks (see _radius_sups).  The
+    modular at the value on the half-resolution companion of dom, built and
+    sampled once per radius only when a value needs it, gives the quadrature
+    error; a rule with no coarser companion gets an infinite estimate."""
+    logs = _log_samples(*next(_samples(f, dom, radii[:1])))
+    sups = [[root, radii[0], root.value] for root in (_solve_logs(psi, *logs) for psi in psis)]
+    del logs  # the companion rule is sampled without the logs of this one
+    _radius_sups(f, dom, psis, radii[1:], sups)
+
+    half, half_logs, out = None, {}, []
+    for psi, (root, r, t) in zip(psis, sups):
         value, m_at = root.value, root.modular
         flags = []
         if value > t + 1e-4 * max(t, 1e-300):
@@ -264,16 +280,9 @@ def _sweep(f, dom, psis, radii) -> tuple:
             if psi.is_extrapolated_log(root.log_peak - math.log(value)):
                 # Psi was evaluated past its trusted (knot-covered) range
                 flags.append("extrapolated")
-        out.append(NormResult(
-            value=value,
-            bracket=root.bracket,
-            modular_at_value=m_at,
-            bisection_iters=root.iters,
-            quad_error_est=quad_err,
-            converged=root.converged,
-            argmax_radius=r,
-            flags=tuple(flags),
-        ))
+        out.append(NormResult(value=value, bracket=root.bracket, modular_at_value=m_at,
+                              bisection_iters=root.iters, quad_error_est=quad_err,
+                              converged=root.converged, argmax_radius=r, flags=tuple(flags)))
     return tuple(out)
 
 
@@ -289,6 +298,12 @@ def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
     return luxemburg_norms(f, (psi,), dom)[0]
 
 
+def _rule_of(dom, kind):
+    if not isinstance(dom, kind):  # the other kind of rule gives another norm
+        raise ValueError(f"this norm needs a {kind.kind} rule, not {dom.describe()}")
+    return dom
+
+
 def _circle_for(f):
     if getattr(f, "scale_hint", None):
         return CircleDomain.refined(f.focus_angle or 0.0, f.scale_hint)
@@ -302,9 +317,9 @@ def _disk_for(f):
 
 
 def bergman_norms(f, psis, dom: DiskDomain | None = None) -> tuple:
-    """Luxemburg norms under normalized area measure on the disk, one per
+    """Luxemburg norms under normalized area measure on a DiskDomain, one per
     Psi; kernels get a rule refined around their peak."""
-    return luxemburg_norms(f, psis, dom or _disk_for(f))
+    return luxemburg_norms(f, psis, _rule_of(dom or _disk_for(f), DiskDomain))
 
 
 def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormResult:
@@ -314,23 +329,22 @@ def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormR
 
 def hardy_norms(f, psis, radii=None, dom: CircleDomain | None = None) -> tuple:
     """sup over r of the circle norm of the dilate f_r(z) = f(r z), one
-    NormResult per Psi.
+    NormResult per Psi; a dom that is not a CircleDomain raises ValueError.
 
     The supported analytic forms extend continuously to the closed disk, and
-    for analytic f the norm is non-decreasing in r, so the sup sits at the
-    largest radius: that is the one radius solved outright.  Every other
-    radius costs one modular at the current sup and is solved only when that
-    modular exceeds 1 (its norm is then larger), so the sup and its radius
-    are exact.  A radius whose norm beats the largest radius's by more than
-    quadrature noise is flagged, not hidden.  |f| is sampled once per radius
-    and shared by every Psi; each Psi keeps its own sup.
+    for analytic f the norm is non-decreasing in r, so the largest radius is
+    solved outright and a smaller one only when its modular at the sup exceeds
+    1 (one eval_log call per block of radii until the sup rises): the sup and
+    its radius are exact.  A radius beating the largest by more than
+    quadrature noise is flagged, not hidden.
     """
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
     radii = tuple(radii) if radii is not None else DEFAULT_RADII
     if not radii or any(not (0.0 < r <= 1.0) for r in radii):
         raise ValueError("radii must be non-empty and lie in (0, 1]")
-    return _sweep(f, dom or _circle_for(f), tuple(psis), sorted(set(radii), reverse=True))
+    return _sweep(f, _rule_of(dom or _circle_for(f), CircleDomain), tuple(psis),
+                  sorted(set(radii), reverse=True))
 
 
 def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
@@ -341,8 +355,8 @@ def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = No
 
 
 def circle_norm(f, psi: OrliczFunction, dom: CircleDomain | None = None) -> NormResult:
-    """Luxemburg norm of the boundary restriction on the circle."""
-    return luxemburg_norms(f, (psi,), dom or _circle_for(f))[0]
+    """Luxemburg norm of the boundary restriction on a CircleDomain."""
+    return luxemburg_norms(f, (psi,), _rule_of(dom or _circle_for(f), CircleDomain))[0]
 
 
 # -- order-boundedness evidence ----------------------------------------------

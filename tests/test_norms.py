@@ -304,6 +304,29 @@ def test_hardy_rejects_bad_radii():
         hardy_norm(make_monomial(1), P2, radii=(0.0,))
 
 
+def test_norms_refuse_the_other_kind_of_rule():
+    # on disk(16, 8) z^3 has the Bergman norm 1/2 under x^2, on the circle
+    # the Hardy and circle norm 1: the wrong rule would give the other norm
+    f, on_disk, on_circle = make_monomial(3), disk(16, 8), circle(64)
+    for norm in (lambda: hardy_norm(f, P2, dom=on_disk),
+                 lambda: hardy_norms(f, ALL_PSIS, dom=on_disk),
+                 lambda: circle_norm(f, P2, dom=on_disk)):
+        with pytest.raises(ValueError, match="needs a circle rule") as err:
+            norm()
+        assert str(on_disk.describe()) in str(err.value)
+    for norm in (lambda: bergman_norm(f, P2, dom=on_circle),
+                 lambda: bergman_norms(f, ALL_PSIS, dom=on_circle)):
+        with pytest.raises(ValueError, match="needs a disk rule") as err:
+            norm()
+        assert str(on_circle.describe()) in str(err.value)
+    # the right kinds, and luxemburg_norm on either
+    assert hardy_norm(f, P2, dom=on_circle).value == pytest.approx(1.0, rel=1e-8)
+    assert circle_norm(f, P2, dom=on_circle).value == pytest.approx(1.0, rel=1e-8)
+    assert bergman_norm(f, P2, dom=on_disk).value == pytest.approx(0.5, rel=1e-8)
+    assert luxemburg_norm(f, P2, on_disk).value == pytest.approx(0.5, rel=1e-8)
+    assert luxemburg_norm(f, P2, on_circle).value == pytest.approx(1.0, rel=1e-8)
+
+
 def test_luxemburg_huge_constant_counterexample():
     # the modular runs through knot values ~1e31 in the log domain
     psi = build_counterexample(4)
@@ -724,3 +747,180 @@ def test_kernel_norm_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+# -- the blocked Hardy radius sweep ----------------------------------------------
+
+
+class _AlternatingDilates:
+    """|f_r| = g(r)|1 + z/2| on |z| = 1, where g over DEFAULT_RADII, largest
+    first, reads 1.05, 0.95, 1.15, 1.05, 1.25, ...: every second radius beats
+    the sup, each right after one that does not."""
+
+    analytic = True
+    label = "alternating_dilates"
+
+    def values(self, z):
+        z = np.asarray(z)
+        a = np.abs(z)
+        # the radius 1 - 2^-k sits at index 21 - k, the radius 1 at index 0
+        k = np.rint(-np.log2(np.maximum(np.abs(1.0 - a), 2.0**-60)))
+        idx = np.where(k > 20, 0, 21 - k)
+        g = 1.0 + 0.1 * (idx // 2) + np.where(idx % 2 == 0, 0.05, -0.05)
+        return g * (1.0 + 0.5 * z / np.maximum(a, 1e-300))
+
+
+def _row_by_row_sups(f, dom, psis, radii, sups):
+    """The radius loop that the blocked pass replaced, kept as its oracle:
+    each radius after the first sampled alone, checked at each Psi's current
+    sup, and solved when that check exceeds 0."""
+    for r in radii:
+        logs = _log_samples(*next(_samples(f, dom, (r,))))
+        for psi, sup in zip(psis, sups):
+            v = sup[0].value
+            if not (v > 0.0 and norms._log_modular(psi, *logs, math.log(v)) <= 0.0):
+                root = norms._solve_logs(psi, *logs)
+                if root.value > v:
+                    sup[:2] = root, r
+
+
+def _row_by_row(monkeypatch, norm, *args, **kwargs):
+    """norm(*args, **kwargs) with the oracle loop in place of the blocked
+    pass (the rest of the sweep is shared)."""
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_radius_sups", _row_by_row_sups)
+        return norm(*args, **kwargs)
+
+
+def _polynomial(seed, degree=8):
+    rng = np.random.default_rng(seed)
+    return make_polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+_SWEEP_CASES = (
+    [(f"polynomial_{seed}", lambda seed=seed: _polynomial(seed), None) for seed in (1, 2, 3)]
+    + [(f"monomial_{n}", lambda n=n: make_monomial(n), None) for n in (1, 12)]
+    + [("constant", lambda: make_polynomial([2.5]), None),
+       ("zero", lambda: make_polynomial([0.0]), None)]
+    + [(f"kernel_squared_{h}", lambda h=h: make_kernel_squared(1.0 / h, 0.7), None)
+       for h in (8, 32, 128)]
+    + [("shrinking_dilates", _ShrinkingDilates, None),
+       ("alternating_dilates", _AlternatingDilates, None),
+       ("zero_at_half", lambda: make_polynomial([-0.5, 1.0]), None),
+       ("polynomial_circle_4096", lambda: _polynomial(4), lambda: circle(4096))]
+)
+
+
+@pytest.mark.parametrize("make_f, make_dom", [c[1:] for c in _SWEEP_CASES],
+                         ids=[c[0] for c in _SWEEP_CASES])
+def test_blocked_sweep_is_the_row_by_row_sweep(monkeypatch, make_f, make_dom):
+    f = make_f()
+    dom = make_dom() if make_dom else None
+    want = _row_by_row(monkeypatch, hardy_norms, f, BLOCK_PSIS, dom=dom)
+    got = hardy_norms(f, BLOCK_PSIS, dom=dom)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+def test_the_sweep_cases_cover_zeros_and_several_blocks():
+    # make_polynomial([-0.5, 1]) vanishes at the node 0.5 of the r = 0.5 row
+    assert make_polynomial([-0.5, 1.0]).values(np.array([0.5 * circle().nodes()[0]]))[0] == 0
+    assert len(DEFAULT_RADII) * 4096 > BLOCK
+    assert len(DEFAULT_RADII) * circle().size <= BLOCK
+
+
+@pytest.mark.parametrize("psi", BLOCK_PSIS, ids=lambda psi: psi.label)
+def test_batched_check_is_the_row_by_row_check(psi):
+    dom = circle(512)
+    rows = np.array(DEFAULT_RADII[::-1][:12])
+    av = np.abs(_polynomial(7).values(np.outer(rows, dom.nodes()).ravel())).reshape(12, -1)
+    log_av, log_w = np.log(av), np.log(dom.weights)
+    for log_c in (-2.0, 0.4, 1.5, 4.0):
+        got = norms._log_modular(psi, log_av, log_w, log_c)
+        for j in range(len(rows)):
+            want = norms._log_modular(psi, log_av[j], log_w, log_c)
+            assert float(got[j]).hex() == float(want).hex(), (j, log_c)
+
+
+class _NonFiniteInside:
+    """z + 2, with a non-finite value at the nodes of radius below 0.8 in the
+    right half plane: the first rows sample finitely, a later one does not."""
+
+    analytic = True
+    label = "non_finite_inside"
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def values(self, z):
+        z = np.asarray(z)
+        return np.where((np.abs(z) < 0.8) & (z.real > 0.0), self.bad, z + 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_inner_row_raises_the_row_by_row_message(monkeypatch, bad):
+    f = _NonFiniteInside(bad)
+    with pytest.raises(ValueError) as want:
+        _row_by_row(monkeypatch, hardy_norms, f, ALL_PSIS)
+    with pytest.raises(ValueError) as got:
+        hardy_norms(f, ALL_PSIS)
+    assert "of 512 sample values are not finite" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+class _CountedPsi:
+    """psi with a count of the points its eval_log is called on."""
+
+    def __init__(self, psi):
+        self.psi, self.points = psi, 0
+
+    def __getattr__(self, name):
+        return getattr(self.psi, name)
+
+    def eval_log(self, log_x):
+        self.points += np.size(log_x)
+        return self.psi.eval_log(log_x)
+
+
+@pytest.mark.parametrize("make_f", [_ShrinkingDilates, lambda: _polynomial(8)],
+                         ids=["shrinking_dilates", "polynomial"])
+def test_blocked_sweep_evaluates_psi_no_more_than_row_by_row(monkeypatch, make_f):
+    f = make_f()
+    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
+    _row_by_row(monkeypatch, hardy_norms, f, counted)
+    want = [c.points for c in counted]
+    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
+    hardy_norms(f, counted)
+    assert all(c.points <= w for c, w in zip(counted, want))
+
+
+def test_a_rise_after_a_pass_checks_one_block_again_at_most(monkeypatch):
+    # the rows after the first rise were checked at the stale sup; a sweep
+    # that re-checked every later row after each rise would take ~R^2/4 rows
+    f, dom = _AlternatingDilates(), circle()
+    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
+    want = _row_by_row(monkeypatch, hardy_norms, f, counted)
+    rows = [c.points for c in counted]
+    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
+    got = hardy_norms(f, counted)
+    for c, n in zip(counted, rows):
+        assert n <= c.points <= n + len(DEFAULT_RADII) * dom.size
+    for g, w in zip(got, want):
+        assert g.to_json() == w.to_json()
+        assert "radius_monotonicity_violated" in g.flags and g.argmax_radius == 0.5
+
+
+class _LargestCall(_CountedValues):
+    """f with the size of its largest values call."""
+
+    def values(self, z):
+        self.points = max(self.points, np.size(z))
+        return self.f.values(z)
+
+
+@pytest.mark.parametrize("dom", [circle(), CircleDomain.refined(0.3, 1.0 / 64.0), circle(4096),
+                                 circle(BLOCK + 1000)],
+                         ids=lambda dom: str(dom.size))
+def test_hardy_samples_one_block_at_a_time(dom):
+    f = _LargestCall(_polynomial(9, degree=3))
+    hardy_norms(f, (P2,), dom=dom)
+    assert 0 < f.points <= max(BLOCK, dom.size)
