@@ -12,11 +12,11 @@ modular accumulation happens in the log domain via logsumexp, which keeps
 piecewise functions with 1e188-sized knot values honest.
 
 luxemburg_norms, bergman_norms and hardy_norms (luxemburg_norm, bergman_norm,
-hardy_norm and circle_norm for one Psi) run one sweep: the rule itself, or the
-Hardy radii largest first in blocks of whole rows.  Each Psi is solved against
-the shared logs of |f|: the first radius outright, a later one only when its
-modular at the Psi's sup exceeds 1, checked for a block's rows at once until
-the sup rises (bitwise the row-by-row values).
+hardy_norm and circle_norm for one Psi) sample f once, on the rule itself or,
+for a Hardy norm, on the circle dilated to the largest radius, and solve each
+Psi against the shared logs of |f|.  For analytic f and convex increasing Psi
+the circle norm of f_r does not decrease in r (Hardy's convexity theorem), so
+the sup over the radii is the norm at the largest one.
 
 Memory: rules are sampled, and modulars evaluated, in blocks of at most
 domains.BLOCK = 2**15 points (at least one row), so a solve holds at full
@@ -51,6 +51,7 @@ QUAD_REL_TOL = 1e-3
 _BRACKET_STEPS = 80
 _LOG2 = math.log(2.0)
 
+# hardy_norms takes its sup over these radii by default, at the largest, 1
 DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
 
 
@@ -66,14 +67,12 @@ class NormResult(Record):
     flags: tuple = ()
 
 
-def _samples(f, dom, radii=(None,)):
-    """(|f|, weights) on the rule for each radius in turn: None samples the
-    rule's nodes, r those nodes dilated by r (a circle is the polar rule of
-    the one radius 1), in blocks of radial rows.  The weights are built after
-    the sampling pass, so they are not held through it, and no local name
-    keeps either array alive once the consumer drops it."""
-    for r in radii:
-        yield dom.map_nodes(lambda z: np.abs(f.values(z if r is None else r * z))), dom._weights()
+def _samples(f, dom, r=None):
+    """(|f|, weights) on the rule: None samples the rule's nodes, r those
+    nodes dilated by r (a circle is the polar rule of the one radius 1), in
+    blocks of radial rows.  The weights are built after the sampling pass, so
+    they are not held through it."""
+    return dom.map_nodes(lambda z: np.abs(f.values(z if r is None else r * z))), dom._weights()
 
 
 def _log_samples(abs_values, weights):
@@ -84,8 +83,12 @@ def _log_samples(abs_values, weights):
     if bad:
         raise ValueError(f"{bad} of {av.size} sample values are not finite (NaN or inf)")
     mask = av > 0.0
+    w = np.asarray(weights, dtype=float)
+    # all positive: no masked copies (other shapes keep the flattening path)
+    if av.ndim == 1 and w.shape == av.shape and mask.all():
+        return np.log(av), np.log(w)
     # boolean indexing copies, so the logs are taken in place
-    log_av, log_w = av[mask], np.asarray(weights, dtype=float)[mask]
+    log_av, log_w = av[mask], w[mask]
     np.log(log_av, out=log_av)
     np.log(log_w, out=log_w)
     return log_av, log_w
@@ -94,12 +97,7 @@ def _log_samples(abs_values, weights):
 def _log_modular(psi, log_av, log_w, log_c):
     """log of the modular at scale exp(log_c): eval_log on blocks of at most
     BLOCK points into one buffer, then one log-sum-exp; -inf for the zero
-    function.  Rows of a 2-d log_av get their values, bit for bit, at once."""
-    if log_av.ndim == 2:
-        t = log_w + psi.eval_log((log_av - log_c).ravel()).reshape(log_av.shape)
-        m = np.max(t, axis=1)
-        with np.errstate(invalid="ignore"):  # a row with no finite max keeps it
-            return np.where(np.isfinite(m), m + np.log(np.sum(np.exp(t - m[:, None]), 1)), m)
+    function."""
     t = np.empty_like(log_av)
     for i in range(0, log_av.size, BLOCK):
         j = i + BLOCK
@@ -121,7 +119,7 @@ def modular_from_values(psi: OrliczFunction, abs_values, weights, c: float) -> f
 
 def modular(f, psi: OrliczFunction, dom, c: float) -> float:
     """Quadrature value of the modular of f at scale c on the domain."""
-    return modular_from_values(psi, *next(_samples(f, dom)), c)
+    return modular_from_values(psi, *_samples(f, dom), c)
 
 
 class _Root(NamedTuple):
@@ -208,52 +206,20 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
                  log_peak)
 
 
-def _radius_sups(f, dom, psis, radii, sups):
-    """Updates each Psi's [root, radius, first value] to the largest norm of
-    f_r over the radii on the circle dom.  Blocks of whole rows of at most
-    BLOCK points (the first radius alone) are sampled by one f.values call
-    each; a Psi checks a block's rows at once until its sup rises, so at most
-    one block is checked at a stale sup, and none if every radius beats it."""
-    edges = sorted({0, *range(1, len(radii), max(BLOCK // dom.size, 1)), len(radii)})
-    for rows in (radii[b:e] for b, e in zip(edges, edges[1:])):
-        z, w = dom.nodes(), dom._weights()
-        av = np.abs(f.values(np.outer(rows, z).ravel())).reshape(len(rows), z.size)
-        # a row with a zero of f or a non-finite sample goes through _log_samples
-        full = np.all((av > 0.0) & (av < math.inf), axis=1)
-        lg, log_w = np.log(av[full]), np.log(w)
-        it = iter(lg)
-        logs = [(next(it), log_w) if ok else _log_samples(a, w) for ok, a in zip(full, av)]
-        for psi, s in zip(psis, sups):
-            batch = s[0].value == s[2] > 0.0 and iter(_log_modular(psi, lg, log_w, math.log(s[2])))
-            for r, ok, row in zip(rows, full, logs):
-                v = s[0].value
-                if v > 0.0 and (next(batch) if ok and batch
-                                else _log_modular(psi, *row, math.log(v))) <= 0.0:
-                    continue
-                root = _solve_logs(psi, *row)
-                if root.value > v:
-                    s[:2], batch = (root, r), None
-
-
-def _sweep(f, dom, psis, radii) -> tuple:
-    """One NormResult per Psi: the largest norm of f over the radii in order
-    (None: the rule itself; r: the circle's nodes dilated by r), the first
-    solved outright, the later ones in blocks (see _radius_sups).  The
-    modular at the value on the half-resolution companion of dom, built and
-    sampled once per radius only when a value needs it, gives the quadrature
-    error; a rule with no coarser companion gets an infinite estimate."""
-    logs = _log_samples(*next(_samples(f, dom, radii[:1])))
-    sups = [[root, radii[0], root.value] for root in (_solve_logs(psi, *logs) for psi in psis)]
+def _sweep(f, dom, psis, r=None) -> tuple:
+    """One NormResult per Psi for f on the rule (r=None) or on the circle's
+    nodes dilated by r.  The modular at the value on the half-resolution
+    companion of dom, built and sampled once only when a value needs it,
+    gives the quadrature error; a rule with no coarser companion gets an
+    infinite estimate."""
+    logs = _log_samples(*_samples(f, dom, r))
+    roots = [_solve_logs(psi, *logs) for psi in psis]
     del logs  # the companion rule is sampled without the logs of this one
-    _radius_sups(f, dom, psis, radii[1:], sups)
 
-    half, half_logs, out = None, {}, []
-    for psi, (root, r, t) in zip(psis, sups):
+    half, half_logs, out = None, None, []
+    for psi, root in zip(psis, roots):
         value, m_at = root.value, root.modular
         flags = []
-        if value > t + 1e-4 * max(t, 1e-300):
-            # a later radius beat the first by more than quadrature noise
-            flags.append("radius_monotonicity_violated")
         if not root.converged:
             flags.append("not_converged")
         quad_err = 0.0
@@ -265,9 +231,9 @@ def _sweep(f, dom, psis, radii) -> tuple:
                     half = False
             m_half = math.inf  # without a companion the estimate is infinite
             if half:
-                if r not in half_logs:
-                    half_logs[r] = _log_samples(*next(_samples(f, half, (r,))))
-                m_half = _exp_modular(_log_modular(psi, *half_logs[r], math.log(value)))
+                if half_logs is None:
+                    half_logs = _log_samples(*_samples(f, half, r))
+                m_half = _exp_modular(_log_modular(psi, *half_logs, math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
             else:
@@ -289,8 +255,8 @@ def _sweep(f, dom, psis, radii) -> tuple:
 def luxemburg_norms(f, psis, dom) -> tuple:
     """Luxemburg norm of f over the given domain under each Psi, with a
     quadrature error estimate from a half-resolution companion rule (see
-    _sweep, with the rule itself as the one radius)."""
-    return _sweep(f, dom, tuple(psis), (None,))
+    _sweep)."""
+    return _sweep(f, dom, tuple(psis))
 
 
 def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
@@ -332,25 +298,23 @@ def hardy_norms(f, psis, radii=None, dom: CircleDomain | None = None) -> tuple:
     NormResult per Psi; a dom that is not a CircleDomain raises ValueError.
 
     The supported analytic forms extend continuously to the closed disk, and
-    for analytic f the norm is non-decreasing in r, so the largest radius is
-    solved outright and a smaller one only when its modular at the sup exceeds
-    1 (one eval_log call per block of radii until the sup rises): the sup and
-    its radius are exact.  A radius beating the largest by more than
-    quadrature noise is flagged, not hidden.
+    for analytic f and convex increasing Psi the norm does not decrease in r
+    (Hardy's convexity theorem), so the sup is the circle norm of f_r at the
+    largest radius, which is solved and reported as argmax_radius.  The
+    default radii end at 1, where the samples are those of f itself.
     """
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
     radii = tuple(radii) if radii is not None else DEFAULT_RADII
     if not radii or any(not (0.0 < r <= 1.0) for r in radii):
         raise ValueError("radii must be non-empty and lie in (0, 1]")
-    return _sweep(f, _rule_of(dom or _circle_for(f), CircleDomain), tuple(psis),
-                  sorted(set(radii), reverse=True))
+    return _sweep(f, _rule_of(dom or _circle_for(f), CircleDomain), tuple(psis), max(radii))
 
 
 def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
     """sup over r of the circle norm of the dilate f_r(z) = f(r z) (see
-    hardy_norms, whose samples are taken once per rule and radius and shared
-    by every Psi)."""
+    hardy_norms, whose samples are taken once per rule and shared by every
+    Psi)."""
     return hardy_norms(f, (psi,), radii, dom)[0]
 
 
@@ -370,7 +334,7 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
     if any(t <= 0 for t in t_grid):
         raise ValueError("t_grid must be positive")
     dom = dom or DiskDomain.boundary_refined()
-    av, w = next(_samples(f, dom))
+    av, w = _samples(f, dom)
     peak = float(np.max(av))
     measures = [float(np.sum(w[av > t])) for t in t_grid]
 
@@ -438,7 +402,7 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     dom = dom or DiskDomain.boundary_refined(k_max=16)
     # the logs of |f| and of the weights are taken once per rule and shared
     # by every c
-    logs = [_log_samples(*next(_samples(f, d))) for d in map(dom.refine, range(levels))]
+    logs = [_log_samples(*_samples(f, d)) for d in map(dom.refine, range(levels))]
     table = {}
     diverging = []
     stabilizing = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,10 +299,10 @@ def test_modular_rejects_bad_scale():
 
 
 def test_hardy_rejects_bad_radii():
-    with pytest.raises(ValueError):
-        hardy_norm(make_monomial(1), P2, radii=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        hardy_norm(make_monomial(1), P2, radii=(0.0,))
+    for radii in ((0.5, 1.5), (0.0,), (), (0.5, -0.25), (math.nan,)):
+        for norm in (hardy_norm, hardy_norms):
+            with pytest.raises(ValueError, match=r"radii must be non-empty and lie in \(0, 1\]"):
+                norm(make_monomial(1), P2 if norm is hardy_norm else ALL_PSIS, radii)
 
 
 def test_norms_refuse_the_other_kind_of_rule():
@@ -468,7 +469,7 @@ def test_core_matches_mpmath_oracle(psi):
     rng = np.random.default_rng(500)
     f = make_polynomial(rng.normal(size=5) + 1j * rng.normal(size=5))
     for dom in (circle(16), disk(8, 4), circle(64)):
-        av, w = next(_samples(f, dom))
+        av, w = _samples(f, dom)
         got = _solve_logs(psi, *_log_samples(av, w))
         assert got.converged
         assert got.value == pytest.approx(_mp_luxemburg(psi.family, av, w), rel=1e-8)
@@ -480,7 +481,7 @@ def test_power_family_converges_in_two_steps():
     for dom in (circle(64), disk(64, 48), DiskDomain.polar(8, 320)):
         for _ in range(4):
             f = make_polynomial(rng.normal(size=8) + 1j * rng.normal(size=8))
-            av, w = next(_samples(f, dom))
+            av, w = _samples(f, dom)
             for p in (1.0, 1.5, 2.0, 4.0):
                 root = _solve_logs(PowerFunction(p), *_log_samples(av, w))
                 assert root.converged and root.iters <= 2
@@ -519,7 +520,7 @@ def test_jensen_bracket_needs_no_safeguard_step(monkeypatch, psi):
     logs = _recorded_log_modulars(monkeypatch)
     for dom in (circle(64), disk(64, 48)):
         for f in witnesses:
-            av, w = next(_samples(f, dom))
+            av, w = _samples(f, dom)
             del logs[:]
             root = _solve_logs(psi, *_log_samples(av, w))
             assert logs[0] >= 0.0 >= logs[1], (f.label, dom.describe())
@@ -564,9 +565,9 @@ def test_modular_budget_per_bergman_solve(monkeypatch):
     state, counts = {"n": 0, "on_rule": False}, {}
     inner_sweep, inner_solve, inner_modular = norms._sweep, norms._solve_logs, norms._log_modular
 
-    def sweep(f, dom, psis, radii):
+    def sweep(f, dom, psis, r=None):
         state["on_rule"] = dom.describe() == rule
-        return inner_sweep(f, dom, psis, radii)
+        return inner_sweep(f, dom, psis, r)
 
     def solve(psi, log_av, log_w):
         state["n"] = 0
@@ -615,24 +616,6 @@ class _ShrinkingDilates:
         return (3.0 - 2.0 * np.abs(z)) * (1.0 + 0.5 * z / np.maximum(np.abs(z), 1e-300))
 
 
-def test_hardy_flags_radius_monotonicity(monkeypatch):
-    f = _ShrinkingDilates()
-    dom = circle(64)
-    for psi in ALL_PSIS:
-        brute = [_solve_logs(psi, *_log_samples(np.abs(f.values(r * dom.nodes())),
-                                                dom.weights)).value
-                 for r in DEFAULT_RADII]
-        calls = _counting_solves(monkeypatch)
-        r = hardy_norm(f, psi, dom=dom)
-        assert "radius_monotonicity_violated" in r.flags
-        assert r.value == max(brute)
-        assert r.argmax_radius == DEFAULT_RADII[int(np.argmax(brute))] == 0.5
-        # solves at r = 1 and at each radius whose modular beats the sup
-        assert 1 < len(calls) <= len(DEFAULT_RADII)
-        monkeypatch.undo()
-    assert "radius_monotonicity_violated" not in hardy_norm(make_monomial(3), P2, dom=dom).flags
-
-
 class _CountedValues:
     """f with a count of the points it is sampled at."""
 
@@ -659,13 +642,12 @@ def test_plural_norms_equal_the_singular_ones(make_f, nonzero):
     f = make_f()
     circ, disk_dom = norms._circle_for(f), norms._disk_for(f)
     for plural, singular, samples in (
-        (hardy_norms, hardy_norm, len(DEFAULT_RADII) * circ.size
-         + nonzero * circ.half_resolution().size),
+        (hardy_norms, hardy_norm, circ.size + nonzero * circ.half_resolution().size),
         (bergman_norms, bergman_norm, disk_dom.size + nonzero * disk_dom.half_resolution().size),
         (lambda f, psis: luxemburg_norms(f, psis, circle(64)),
          lambda f, psi: circle_norm(f, psi, circle(64)), 64 + nonzero * 32),
     ):
-        # one sampling pass per rule and radius, whatever the number of Psi
+        # one sampling pass per rule, whatever the number of Psi
         counted = _CountedValues(f)
         results = plural(counted, ALL_PSIS)
         assert counted.points == samples
@@ -720,7 +702,7 @@ def test_blocked_disk_sampling_is_the_whole_rule_sampling(f):
     # 2 blocks of 64 rows, and 6 blocks with a short last one
     for dom in (disk(512, 128), DiskDomain.kernel_refined(1.0 / 32.0, 0.4)):
         assert dom.size >= 2 * BLOCK
-        got, want = next(_samples(f, dom))[0], np.abs(f.values(dom.nodes()))
+        got, want = _samples(f, dom)[0], np.abs(f.values(dom.nodes()))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -732,7 +714,7 @@ def test_blocked_envelope_sampling_still_refuses_the_boundary():
     dom = DiskDomain(r, np.full(20, 0.05), theta, np.full(4096, 1.0 / 4096), {"rule": "test"})
     assert dom.size > 2 * BLOCK
     with pytest.raises(ValueError, match="open disk"):
-        next(_samples(make_evaluation_envelope(P2), dom))
+        _samples(make_evaluation_envelope(P2), dom)
 
 
 def test_kernel_norm_memory_stays_bounded():
@@ -749,52 +731,56 @@ def test_kernel_norm_memory_stays_bounded():
     assert peak < 10e6
 
 
-# -- the blocked Hardy radius sweep ----------------------------------------------
+# -- the Hardy norm at the largest radius ----------------------------------------
 
 
-class _AlternatingDilates:
-    """|f_r| = g(r)|1 + z/2| on |z| = 1, where g over DEFAULT_RADII, largest
-    first, reads 1.05, 0.95, 1.15, 1.05, 1.25, ...: every second radius beats
-    the sup, each right after one that does not."""
-
-    analytic = True
-    label = "alternating_dilates"
-
-    def values(self, z):
-        z = np.asarray(z)
-        a = np.abs(z)
-        # the radius 1 - 2^-k sits at index 21 - k, the radius 1 at index 0
-        k = np.rint(-np.log2(np.maximum(np.abs(1.0 - a), 2.0**-60)))
-        idx = np.where(k > 20, 0, 21 - k)
-        g = 1.0 + 0.1 * (idx // 2) + np.where(idx % 2 == 0, 0.05, -0.05)
-        return g * (1.0 + 0.5 * z / np.maximum(a, 1e-300))
-
-
-def _row_by_row_sups(f, dom, psis, radii, sups):
-    """The radius loop that the blocked pass replaced, kept as its oracle:
-    each radius after the first sampled alone, checked at each Psi's current
-    sup, and solved when that check exceeds 0."""
-    for r in radii:
-        logs = _log_samples(*next(_samples(f, dom, (r,))))
+def _row_by_row_sups(f, dom, psis, radii=DEFAULT_RADII):
+    """The Hardy radius sweep from before hardy_norms solved only the largest
+    radius, kept as the brute force: every radius, largest first, sampled
+    alone, checked at each Psi's current sup and solved when that check
+    exceeds 0.  Returns each Psi's [root, radius] of the sup."""
+    radii = sorted(radii, reverse=True)
+    logs = _log_samples(*_samples(f, dom, radii[0]))
+    sups = [[_solve_logs(psi, *logs), radii[0]] for psi in psis]
+    for r in radii[1:]:
+        logs = _log_samples(*_samples(f, dom, r))
         for psi, sup in zip(psis, sups):
             v = sup[0].value
             if not (v > 0.0 and norms._log_modular(psi, *logs, math.log(v)) <= 0.0):
-                root = norms._solve_logs(psi, *logs)
+                root = _solve_logs(psi, *logs)
                 if root.value > v:
-                    sup[:2] = root, r
-
-
-def _row_by_row(monkeypatch, norm, *args, **kwargs):
-    """norm(*args, **kwargs) with the oracle loop in place of the blocked
-    pass (the rest of the sweep is shared)."""
-    with monkeypatch.context() as m:
-        m.setattr(norms, "_radius_sups", _row_by_row_sups)
-        return norm(*args, **kwargs)
+                    sup[:] = root, r
+    return sups
 
 
 def _polynomial(seed, degree=8):
     rng = np.random.default_rng(seed)
     return make_polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+def _log_samples_masked(abs_values, weights):
+    """_log_samples with the masked copies for every input, as it was before
+    it skipped them when every sample is positive, kept as its oracle."""
+    av = np.asarray(abs_values, dtype=float)
+    mask = av > 0.0
+    log_av, log_w = av[mask], np.asarray(weights, dtype=float)[mask]
+    np.log(log_av, out=log_av)
+    np.log(log_w, out=log_w)
+    return log_av, log_w
+
+
+def test_log_samples_match_the_masked_copies_bitwise():
+    w = circle(64).weights
+    av = np.abs(_polynomial(3).values(circle(64).nodes()))
+    zeros = av.copy()
+    zeros[[0, 5, 63]] = 0.0
+    for a, b in ((av, w), (zeros, w), (np.zeros(64), w), (av[:1], w[:1]), (av[:0], w[:0]),
+                 (list(av[:3]), list(w[:3])), (av[:4].reshape(2, 2), w[:4].reshape(2, 2))):
+        before = np.array(a, copy=True), np.array(b, copy=True)
+        for got, want in zip(_log_samples(a, b), _log_samples_masked(a, b)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.asarray(a).tobytes() == before[0].tobytes()
+        assert np.asarray(b).tobytes() == before[1].tobytes()
 
 
 _SWEEP_CASES = (
@@ -804,67 +790,49 @@ _SWEEP_CASES = (
        ("zero", lambda: make_polynomial([0.0]), None)]
     + [(f"kernel_squared_{h}", lambda h=h: make_kernel_squared(1.0 / h, 0.7), None)
        for h in (8, 32, 128)]
-    + [("shrinking_dilates", _ShrinkingDilates, None),
-       ("alternating_dilates", _AlternatingDilates, None),
-       ("zero_at_half", lambda: make_polynomial([-0.5, 1.0]), None),
+    + [("zero_at_half", lambda: make_polynomial([-0.5, 1.0]), None),
        ("polynomial_circle_4096", lambda: _polynomial(4), lambda: circle(4096))]
 )
 
 
 @pytest.mark.parametrize("make_f, make_dom", [c[1:] for c in _SWEEP_CASES],
                          ids=[c[0] for c in _SWEEP_CASES])
-def test_blocked_sweep_is_the_row_by_row_sweep(monkeypatch, make_f, make_dom):
+def test_blocked_sweep_is_the_row_by_row_sweep(make_f, make_dom):
+    # the one solve at the largest radius is, bit for bit, the sup that the
+    # row-by-row sweep over every radius finds under each of 15 Psi
     f = make_f()
-    dom = make_dom() if make_dom else None
-    want = _row_by_row(monkeypatch, hardy_norms, f, BLOCK_PSIS, dom=dom)
+    dom = make_dom() if make_dom else norms._circle_for(f)
     got = hardy_norms(f, BLOCK_PSIS, dom=dom)
-    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    for g, (root, r) in zip(got, _row_by_row_sups(f, dom, BLOCK_PSIS)):
+        assert r == g.argmax_radius == 1.0
+        assert (g.value, g.bracket, g.bisection_iters, g.modular_at_value) == root[:4]
 
 
 def test_the_sweep_cases_cover_zeros_and_several_blocks():
-    # make_polynomial([-0.5, 1]) vanishes at the node 0.5 of the r = 0.5 row
+    # make_polynomial([-0.5, 1]) vanishes at the node 0.5 of the r = 0.5 row,
+    # which the row-by-row sweep samples
     assert make_polynomial([-0.5, 1.0]).values(np.array([0.5 * circle().nodes()[0]]))[0] == 0
-    assert len(DEFAULT_RADII) * 4096 > BLOCK
-    assert len(DEFAULT_RADII) * circle().size <= BLOCK
 
 
 @pytest.mark.parametrize("psi", BLOCK_PSIS, ids=lambda psi: psi.label)
 def test_batched_check_is_the_row_by_row_check(psi):
+    # eval_log on a batch of rows, as _log_modular passes it, gives each row
+    # and each point the bits of its own call, whichever path the batch, the
+    # row or the point takes (every point past the first knot or not, one
+    # log_expm1 branch or both, an array or a scalar); at log_c = -2.62 and
+    # -1.93 the first knot of the counterexample and of its arg_square falls
+    # between the rows' smallest values
     dom = circle(512)
     rows = np.array(DEFAULT_RADII[::-1][:12])
     av = np.abs(_polynomial(7).values(np.outer(rows, dom.nodes()).ravel())).reshape(12, -1)
-    log_av, log_w = np.log(av), np.log(dom.weights)
-    for log_c in (-2.0, 0.4, 1.5, 4.0):
-        got = norms._log_modular(psi, log_av, log_w, log_c)
+    for log_c in (-2.62, -2.0, -1.93, 0.4, 1.5, 4.0):
+        lx = np.log(av) - log_c
+        got = psi.eval_log(lx.ravel())
+        assert psi.eval_log(lx).tobytes() == got.tobytes()
         for j in range(len(rows)):
-            want = norms._log_modular(psi, log_av[j], log_w, log_c)
-            assert float(got[j]).hex() == float(want).hex(), (j, log_c)
-
-
-class _NonFiniteInside:
-    """z + 2, with a non-finite value at the nodes of radius below 0.8 in the
-    right half plane: the first rows sample finitely, a later one does not."""
-
-    analytic = True
-    label = "non_finite_inside"
-
-    def __init__(self, bad):
-        self.bad = bad
-
-    def values(self, z):
-        z = np.asarray(z)
-        return np.where((np.abs(z) < 0.8) & (z.real > 0.0), self.bad, z + 2.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_a_non_finite_inner_row_raises_the_row_by_row_message(monkeypatch, bad):
-    f = _NonFiniteInside(bad)
-    with pytest.raises(ValueError) as want:
-        _row_by_row(monkeypatch, hardy_norms, f, ALL_PSIS)
-    with pytest.raises(ValueError) as got:
-        hardy_norms(f, ALL_PSIS)
-    assert "of 512 sample values are not finite" in str(want.value)
-    assert str(got.value) == str(want.value)
+            assert psi.eval_log(lx[j]).tobytes() == got.reshape(lx.shape)[j].tobytes(), (j, log_c)
+        for x, y in zip(lx.ravel()[::61], got[::61]):
+            assert float(psi.eval_log(float(x))).hex() == float(y).hex(), (x, log_c)
 
 
 class _CountedPsi:
@@ -883,30 +851,55 @@ class _CountedPsi:
 
 @pytest.mark.parametrize("make_f", [_ShrinkingDilates, lambda: _polynomial(8)],
                          ids=["shrinking_dilates", "polynomial"])
-def test_blocked_sweep_evaluates_psi_no_more_than_row_by_row(monkeypatch, make_f):
-    f = make_f()
+def test_blocked_sweep_evaluates_psi_no_more_than_row_by_row(make_f):
+    f, dom = make_f(), circle()
     counted = [_CountedPsi(psi) for psi in ALL_PSIS]
-    _row_by_row(monkeypatch, hardy_norms, f, counted)
+    _row_by_row_sups(f, dom, counted)
     want = [c.points for c in counted]
     counted = [_CountedPsi(psi) for psi in ALL_PSIS]
-    hardy_norms(f, counted)
+    hardy_norms(f, counted, dom=dom)
     assert all(c.points <= w for c, w in zip(counted, want))
 
 
-def test_a_rise_after_a_pass_checks_one_block_again_at_most(monkeypatch):
-    # the rows after the first rise were checked at the stale sup; a sweep
-    # that re-checked every later row after each rise would take ~R^2/4 rows
-    f, dom = _AlternatingDilates(), circle()
-    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
-    want = _row_by_row(monkeypatch, hardy_norms, f, counted)
-    rows = [c.points for c in counted]
-    counted = [_CountedPsi(psi) for psi in ALL_PSIS]
-    got = hardy_norms(f, counted)
-    for c, n in zip(counted, rows):
-        assert n <= c.points <= n + len(DEFAULT_RADII) * dom.size
-    for g, w in zip(got, want):
-        assert g.to_json() == w.to_json()
-        assert "radius_monotonicity_violated" in g.flags and g.argmax_radius == 0.5
+class _Dilate:
+    """f_r(z) = f(r z)."""
+
+    analytic = True
+
+    def __init__(self, f, r):
+        self.f, self.r, self.label = f, r, f"{f.label} at r={r:g}"
+
+    def values(self, z):
+        return self.f.values(self.r * np.asarray(z))
+
+
+_THEOREM_PSIS = ALL_PSIS + (arg_square(build_counterexample(4)),)
+
+
+@pytest.mark.parametrize("f", [_polynomial(seed) for seed in (1, 2, 3)]
+                         + [make_monomial(n) for n in (1, 12)]
+                         + [make_kernel_squared(1.0 / h, 0.7) for h in (8, 32, 128)]
+                         + [make_scaled_kernel(P2, 10.0),
+                            make_scaled_kernel(build_counterexample(4), 56.0)],
+                         ids=lambda f: f.label)
+def test_no_dilate_beats_the_largest_radius(f):
+    # Hardy's convexity theorem: for analytic f and convex increasing Psi the
+    # circle norm of f_r does not decrease in r, which is why hardy_norms
+    # solves only the largest radius; 1e-4 is quadrature noise
+    dom = norms._circle_for(f)
+    for psi, top in zip(_THEOREM_PSIS, hardy_norms(f, _THEOREM_PSIS, dom=dom)):
+        assert top.argmax_radius == 1.0
+        assert replace(top, argmax_radius=None).to_json() == circle_norm(f, psi, dom).to_json()
+        for r in DEFAULT_RADII[:-1]:
+            assert circle_norm(_Dilate(f, r), psi, dom).value <= top.value * (1.0 + 1e-4), r
+
+
+def test_hardy_norms_solve_the_largest_of_the_given_radii():
+    f, dom = _polynomial(5), circle()
+    for psi, got in zip(ALL_PSIS, hardy_norms(f, ALL_PSIS, radii=(0.5, 0.75))):
+        assert got.argmax_radius == 0.75
+        want = circle_norm(_Dilate(f, 0.75), psi, dom)
+        assert replace(got, argmax_radius=None).to_json() == want.to_json()
 
 
 class _LargestCall(_CountedValues):
