@@ -379,10 +379,9 @@ class PiecewiseAffine(OrliczFunction):
             np.log(run, out=run)
         run += base_lx
         run += self.slope_logs.take(idx)
-        base_ly = self.log_ys.take(idx)
-        val = log_add(base_ly, run)
-        # exact knot hits return the stored knot value bitwise
-        np.copyto(val, base_ly, where=li == base_lx)
+        # at an exact knot hit run is log(expm1(0)) = -inf, so log_add returns
+        # the stored knot value bitwise
+        val = log_add(self.log_ys.take(idx), run)
         if every:
             return val
         out = np.array(self.init_slope_log + lx)
