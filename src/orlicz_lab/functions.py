@@ -362,30 +362,21 @@ class PiecewiseAffine(OrliczFunction):
 
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
-        on = lx >= self.log_xs[0]
         # the line through the origin below the first knot; the transcendental
-        # work runs only on the points at or past it, often a small share, and
-        # needs no gather or scatter when that share is every point
-        every = lx.ndim and on.all()
-        li = lx if every else lx[on]
-        idx = np.searchsorted(self.log_xs, li, side="right")
-        idx -= 1
-        base_lx = self.log_xs.take(idx)
-        # log(x - x_i) assembled without leaving the log domain
-        run = np.subtract(li, base_lx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.maximum(run, 0.0, out=run)
-            np.expm1(run, out=run)
-            np.log(run, out=run)
-        run += base_lx
-        run += self.slope_logs.take(idx)
-        # at an exact knot hit run is log(expm1(0)) = -inf, so log_add returns
-        # the stored knot value bitwise
-        val = log_add(self.log_ys.take(idx), run)
-        if every:
-            return val
+        # work runs only on the points at or past it, often a small share
         out = np.array(self.init_slope_log + lx)
-        out[on] = val
+        on = lx >= self.log_xs[0]
+        li = lx[on]
+        idx = np.searchsorted(self.log_xs, li, side="right") - 1
+        base_lx = self.log_xs[idx]
+        base_ly = self.log_ys[idx]
+        # log(x - x_i) assembled without leaving the log domain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.log(np.expm1(np.maximum(li - base_lx, 0.0)))
+        run = base_lx + gap
+        val = log_add(base_ly, self.slope_logs[idx] + run)
+        # exact knot hits return the stored knot value bitwise
+        out[on] = np.where(li == base_lx, base_ly, val)
         return float(out) if out.ndim == 0 else out
 
     # -- inversion ----------------------------------------------------------

@@ -17,14 +17,8 @@ def log_add(a, b):
 
 
 def log1p_exp(s):
-    """log(1 + exp(s)) elementwise: np.logaddexp(0, s) as a vectorized formula,
-    log1p(exp(-|s|)) + max(s, 0), worked in place on one fresh array."""
-    t = np.abs(s, out=np.empty(np.shape(s)))
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    t += np.maximum(s, 0.0)
-    return t if t.ndim else t[()]
+    """log(1 + exp(s)) elementwise: np.logaddexp(0, s) as a vectorized formula."""
+    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
 
 
 def log_diff(a, b):
@@ -54,23 +48,19 @@ def log_sum(terms):
 
 
 def log_expm1(s):
-    """log(exp(s) - 1) for s > 0, elementwise, stable for both tails: where
-    s > 33, s + log1p(-exp(-min(s, LOG_DBL_MAX))), elsewhere
-    log(expm1(min(s, 33))); each branch works in place on one fresh array."""
+    """log(exp(s) - 1) for s > 0, elementwise, stable for both tails."""
     s = np.asarray(s, dtype=float)
+    # only the small-s branch is in use (a NaN max takes the general path)
+    if s.size and s.ndim and s.max() <= 33.0:
+        with np.errstate(divide="ignore"):
+            return np.log(np.expm1(s))
+    small = np.minimum(s, 33.0)
     with np.errstate(divide="ignore"):
-        # only the small-s branch is in use (a NaN max takes the general path)
-        if s.size and s.ndim and s.max() <= 33.0:
-            out = np.expm1(s)
-            return np.log(out, out=out)
-        out = np.minimum(s, 33.0, out=np.empty_like(s))
-        np.expm1(out, out=out)
-        np.log(out, out=out)
-        big = np.minimum(s, LOG_DBL_MAX, out=np.empty_like(s))
-        np.negative(big, out=big)
-        np.exp(big, out=big)
-        np.negative(big, out=big)
-        np.log1p(big, out=big)
-    big += s
-    np.copyto(out, big, where=s > 33.0)
-    return float(out) if out.ndim == 0 else out
+        out = np.where(
+            s > 33.0,
+            s + np.log1p(-np.exp(-np.minimum(s, LOG_DBL_MAX))),
+            np.log(np.expm1(small)),
+        )
+    if out.ndim == 0:
+        return float(out)
+    return out

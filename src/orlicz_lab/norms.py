@@ -83,12 +83,8 @@ def _log_samples(abs_values, weights):
     if bad:
         raise ValueError(f"{bad} of {av.size} sample values are not finite (NaN or inf)")
     mask = av > 0.0
-    w = np.asarray(weights, dtype=float)
-    # all positive: no masked copies (other shapes keep the flattening path)
-    if av.ndim == 1 and w.shape == av.shape and mask.all():
-        return np.log(av), np.log(w)
     # boolean indexing copies, so the logs are taken in place
-    log_av, log_w = av[mask], w[mask]
+    log_av, log_w = av[mask], np.asarray(weights, dtype=float)[mask]
     np.log(log_av, out=log_av)
     np.log(log_w, out=log_w)
     return log_av, log_w

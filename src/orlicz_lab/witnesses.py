@@ -48,15 +48,7 @@ class Polynomial:
     focus_angle = None
 
     def values(self, z):
-        z, c = np.asarray(z), np.asarray(self.coeffs)
-        if z.size < 2:  # numpy rounds an in-place complex product of one element apart
-            return np.polynomial.polynomial.polyval(z, c)
-        # polyval's Horner steps, c[k] + out * z, without its temporaries
-        out = c[-1] + z * 0
-        for a in c[-2::-1]:
-            out *= z
-            out += a
-        return out
+        return np.polynomial.polynomial.polyval(np.asarray(z), np.asarray(self.coeffs))
 
     @property
     def label(self):

@@ -409,58 +409,6 @@ def test_piecewise_knots_exact_and_shapes(psi):
         assert isinstance(method(1.0), float)
 
 
-def _piecewise_eval_log_formula(psi, log_x):
-    """PiecewiseAffine.eval_log with a gather and a scatter for every input,
-    as it was before it skipped them, kept as its oracle."""
-    lx = np.asarray(log_x, dtype=float)
-    out = np.array(psi.init_slope_log + lx)
-    on = lx >= psi.log_xs[0]
-    li = lx[on]
-    idx = np.searchsorted(psi.log_xs, li, side="right") - 1
-    base_lx = psi.log_xs[idx]
-    base_ly = psi.log_ys[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.log(np.expm1(np.maximum(li - base_lx, 0.0)))
-    run = base_lx + gap
-    val = np.logaddexp(base_ly, psi.slope_logs[idx] + run)
-    out[on] = np.where(li == base_lx, base_ly, val)
-    return float(out) if out.ndim == 0 else out
-
-
-@pytest.mark.parametrize("psi", [build_counterexample(4), build_counterexample(5, 4.5),
-                                 PiecewiseAffine([(1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])],
-                         ids=lambda psi: psi.label)
-def test_piecewise_eval_log_matches_its_formula_bitwise(psi):
-    rng = np.random.default_rng(3)
-    knots = psi.log_xs
-    first = knots[0]
-    past = rng.uniform(first, knots[-1] + 3.0, 500)
-    for lx in (
-        past,  # every point at or past the first knot
-        np.concatenate([past, knots]),  # with exact knot hits
-        np.array([first, np.inf]),
-        rng.uniform(first - 4.0, first, 50),  # every point below it
-        rng.uniform(first - 4.0, knots[-1] + 3.0, 500),
-        np.array([first - 1.0, first, first + 1.0, np.nan, np.inf, -np.inf]),
-        np.array([first]),
-        np.array([first - 1.0]),
-        np.array([]),
-        past[:6].reshape(2, 3),
-        np.array([[first - 1.0, first], [first + 1.0, knots[-1] + 1.0]]),
-        np.array(first),
-        np.array(first - 1.0),
-        float(first + 0.5),
-        float(knots[1]),
-        float(first - 0.5),
-    ):
-        before = np.array(lx, copy=True)
-        got, want = psi.eval_log(lx), _piecewise_eval_log_formula(psi, lx)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), lx
-        assert np.asarray(lx).tobytes() == before.tobytes()
-
-
 def _bitwise(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -92,31 +92,6 @@ def test_log_expm1_matches_two_branch_formula_bitwise(s):
     assert np.asarray(s).tobytes() == before.tobytes()
 
 
-def _log1p_exp_formula(s):
-    """log1p_exp before it worked in place, kept as its oracle."""
-    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
-
-
-@pytest.mark.parametrize("s", [
-    np.linspace(-800.0, 800.0, 2001),
-    np.array([-np.inf, -745.0, -0.0, 0.0, 5e-324, 745.0, np.inf, np.nan]),
-    np.array([[0.25, -3.0], [40.0, 1e-300]]),
-    np.array([]),
-    np.array([-2.5]),
-    np.array(0.75),
-    0.0,
-    -1.5,
-    np.float64(710.0),
-], ids=["dense", "edges", "2d", "empty", "one", "zero_d", "float_zero", "float", "numpy_scalar"])
-def test_log1p_exp_matches_its_formula_bitwise(s):
-    before = np.array(s, copy=True)
-    got, want = log1p_exp(s), _log1p_exp_formula(s)
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    assert np.asarray(s).tobytes() == before.tobytes()
-
-
 def test_log_expm1_small_array_with_zero_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -24,25 +24,6 @@ def test_monomial_values():
     assert complex(make_monomial(3).values(np.array([0.5]))[0]) == 0.125
 
 
-@pytest.mark.parametrize("degree", [0, 1, 20])
-def test_polynomial_values_match_polyval_bitwise(degree):
-    rng = np.random.default_rng(degree)
-    f = make_polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
-    z = rng.uniform(0.0, 1.1, 300) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 300))
-    for zz in (z, z.real, z[:1], z[:0], z[:6].reshape(2, 3),
-               np.array([0.0, -0.0, 1.0, -1.0, np.inf, np.nan]),
-               np.array([complex(np.inf, 1.0), complex(0.0, -0.0), complex(np.nan, 0.0)]),
-               np.array(0.5 + 0.25j), 0.5 + 0.25j, 0.75, np.complex128(-0.5j)):
-        before = np.array(zz, copy=True)
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = f.values(zz)
-            want = np.polynomial.polynomial.polyval(np.asarray(zz), np.asarray(f.coeffs))
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), zz
-        assert np.asarray(zz).tobytes() == before.tobytes()
-
-
 def test_kernel_values():
     u = make_kernel_squared(0.25)
     # at z = 1-h the denominator is 1-(1-h)^2 = h(2-h)
