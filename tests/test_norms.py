@@ -793,9 +793,9 @@ def test_the_sweep_cases_cover_zeros_and_several_blocks():
 @pytest.mark.parametrize("psi", BLOCK_PSIS, ids=lambda psi: psi.label)
 def test_batched_check_is_the_row_by_row_check(psi):
     # eval_log on one flat slice of 12 circles' samples gives each circle's
-    # row and each point the bits of its own call, whichever path the slice,
-    # the row or the point takes (every point past the first knot or not, one
-    # log_expm1 branch or both, an array or a scalar); at log_c = -2.62 and
+    # row and each point the bits of its own call, whatever the slice, the row
+    # or the point holds (points on both sides of the first knot or on one,
+    # one log_expm1 branch or both, an array or a scalar); at log_c = -2.62 and
     # -1.93 the first knot of the counterexample and of its arg_square falls
     # between the rows' smallest values.  (The name is from the blocked
     # radius check this test once covered.)
