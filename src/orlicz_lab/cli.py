@@ -274,12 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json"), seeded=False):
         p.add_argument("--output", help="write the report to this path (atomically)")
-        p.add_argument("--format", choices=("text", "json", "csv"),
+        p.add_argument("--format", choices=formats,
                        help="defaults to text on a terminal, json when piped")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized corpora")
+        if seeded:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help="seed for randomized corpora")
 
     p = sub.add_parser("classify", help="growth-condition classification of a function")
     p.add_argument("--function", required=True,
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-lo", type=float)
     p.add_argument("--x-hi", type=float)
     p.add_argument("--points", type=int)
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("norm", help="compute one Luxemburg-type norm")
@@ -308,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"all or one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("--h", type=float,
                    help="custom window size for the kernel or carleson suite")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="classification plus the full suite battery")
     p.add_argument("--function", default='{"family": "paper_counterexample", "n_max": 4}',
                    help="function spec for the classification part")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_report)
 
     return parser

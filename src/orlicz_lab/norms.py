@@ -12,11 +12,11 @@ modular accumulation happens in the log domain via logsumexp, which keeps
 piecewise functions with 1e188-sized knot values honest.
 
 luxemburg_norms, bergman_norms and hardy_norms (luxemburg_norm, bergman_norm,
-hardy_norm and circle_norm for one Psi) sample f once, on the rule itself or,
-for a Hardy norm, on the circle dilated to the largest radius, and solve each
-Psi against the shared logs of |f|.  For analytic f and convex increasing Psi
-the circle norm of f_r does not decrease in r (Hardy's convexity theorem), so
-the sup over the radii is the norm at the largest one.
+hardy_norm and circle_norm for one Psi) sample f once on the rule and solve
+each Psi against the shared logs of |f|.  The Hardy norm is the sup over
+r < 1 of the circle norm of the dilate f_r(z) = f(r z); for analytic f and
+convex increasing Psi that norm does not decrease in r (Hardy's convexity
+theorem), so the sup is the circle norm of f itself, solved once.
 
 Memory: rules are sampled, and modulars evaluated, in blocks of at most
 domains.BLOCK = 2**15 points (at least one row), so a solve holds at full
@@ -32,7 +32,7 @@ samples and a lower bracket that never closes raise ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +51,8 @@ QUAD_REL_TOL = 1e-3
 _BRACKET_STEPS = 80
 _LOG2 = math.log(2.0)
 
-# hardy_norms takes its sup over these radii by default, at the largest, 1
-DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
+# the one radius a Hardy norm is solved at, reported as its argmax_radius
+DEFAULT_RADII = (1.0,)
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,11 @@ class NormResult(Record):
     flags: tuple = ()
 
 
-def _samples(f, dom, r=None):
-    """(|f|, weights) on the rule: None samples the rule's nodes, r those
-    nodes dilated by r (a circle is the polar rule of the one radius 1), in
-    blocks of radial rows.  The weights are built after the sampling pass, so
-    they are not held through it."""
-    return dom.map_nodes(lambda z: np.abs(f.values(z if r is None else r * z))), dom._weights()
+def _samples(f, dom):
+    """(|f|, weights) on the rule's nodes, sampled in blocks of radial rows.
+    The weights are built after the sampling pass, so they are not held
+    through it."""
+    return dom.map_nodes(lambda z: np.abs(f.values(z))), dom._weights()
 
 
 def _log_samples(abs_values, weights):
@@ -202,13 +201,14 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
                  log_peak)
 
 
-def _sweep(f, dom, psis, r=None) -> tuple:
-    """One NormResult per Psi for f on the rule (r=None) or on the circle's
-    nodes dilated by r.  The modular at the value on the half-resolution
+def luxemburg_norms(f, psis, dom) -> tuple:
+    """Luxemburg norm of f over the given domain under each Psi, one
+    NormResult per Psi.  The modular at the value on the half-resolution
     companion of dom, built and sampled once only when a value needs it,
     gives the quadrature error; a rule with no coarser companion gets an
     infinite estimate."""
-    logs = _log_samples(*_samples(f, dom, r))
+    psis = tuple(psis)
+    logs = _log_samples(*_samples(f, dom))
     roots = [_solve_logs(psi, *logs) for psi in psis]
     del logs  # the companion rule is sampled without the logs of this one
 
@@ -228,7 +228,7 @@ def _sweep(f, dom, psis, r=None) -> tuple:
             m_half = math.inf  # without a companion the estimate is infinite
             if half:
                 if half_logs is None:
-                    half_logs = _log_samples(*_samples(f, half, r))
+                    half_logs = _log_samples(*_samples(f, half))
                 m_half = _exp_modular(_log_modular(psi, *half_logs, math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
@@ -244,15 +244,8 @@ def _sweep(f, dom, psis, r=None) -> tuple:
                 flags.append("extrapolated")
         out.append(NormResult(value=value, bracket=root.bracket, modular_at_value=m_at,
                               bisection_iters=root.iters, quad_error_est=quad_err,
-                              converged=root.converged, argmax_radius=r, flags=tuple(flags)))
+                              converged=root.converged, flags=tuple(flags)))
     return tuple(out)
-
-
-def luxemburg_norms(f, psis, dom) -> tuple:
-    """Luxemburg norm of f over the given domain under each Psi, with a
-    quadrature error estimate from a half-resolution companion rule (see
-    _sweep)."""
-    return _sweep(f, dom, tuple(psis))
 
 
 def luxemburg_norm(f, psi: OrliczFunction, dom) -> NormResult:
@@ -289,29 +282,25 @@ def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormR
     return bergman_norms(f, (psi,), dom)[0]
 
 
-def hardy_norms(f, psis, radii=None, dom: CircleDomain | None = None) -> tuple:
-    """sup over r of the circle norm of the dilate f_r(z) = f(r z), one
-    NormResult per Psi; a dom that is not a CircleDomain raises ValueError.
+def hardy_norms(f, psis, *, dom: CircleDomain | None = None) -> tuple:
+    """Hardy norm of an analytic f, the sup over r < 1 of the circle norm of
+    the dilate f_r(z) = f(r z), one NormResult per Psi; a dom that is not a
+    CircleDomain raises ValueError.
 
     The supported analytic forms extend continuously to the closed disk, and
-    for analytic f and convex increasing Psi the norm does not decrease in r
-    (Hardy's convexity theorem), so the sup is the circle norm of f_r at the
-    largest radius, which is solved and reported as argmax_radius.  The
-    default radii end at 1, where the samples are those of f itself.
+    for analytic f and convex increasing Psi the circle norm of f_r does not
+    decrease in r (Hardy's convexity theorem), so the sup is the circle norm
+    of f itself, reported with argmax_radius 1.
     """
     if not getattr(f, "analytic", False):
         raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
-    radii = tuple(radii) if radii is not None else DEFAULT_RADII
-    if not radii or any(not (0.0 < r <= 1.0) for r in radii):
-        raise ValueError("radii must be non-empty and lie in (0, 1]")
-    return _sweep(f, _rule_of(dom or _circle_for(f), CircleDomain), tuple(psis), max(radii))
+    results = luxemburg_norms(f, psis, _rule_of(dom or _circle_for(f), CircleDomain))
+    return tuple(replace(res, argmax_radius=DEFAULT_RADII[0]) for res in results)
 
 
-def hardy_norm(f, psi: OrliczFunction, radii=None, dom: CircleDomain | None = None) -> NormResult:
-    """sup over r of the circle norm of the dilate f_r(z) = f(r z) (see
-    hardy_norms, whose samples are taken once per rule and shared by every
-    Psi)."""
-    return hardy_norms(f, (psi,), radii, dom)[0]
+def hardy_norm(f, psi: OrliczFunction, *, dom: CircleDomain | None = None) -> NormResult:
+    """Hardy norm of an analytic f under one Psi (see hardy_norms)."""
+    return hardy_norms(f, (psi,), dom=dom)[0]
 
 
 def circle_norm(f, psi: OrliczFunction, dom: CircleDomain | None = None) -> NormResult:

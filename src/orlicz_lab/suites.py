@@ -690,7 +690,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
     if name == "kernel":
         return suite_kernel_bounds()
     if name == "evaluation":
-        return suite_evaluation_bounds(PowerFunction(2))
+        return suite_evaluation_bounds(PowerFunction(2), seed=seed)
     if name == "counterexample":
         return suite_counterexample()
     if name == "order":

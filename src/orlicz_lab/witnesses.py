@@ -36,9 +36,6 @@ class Monomial:
     def label(self):
         return f"monomial(n={self.n})"
 
-    def to_spec(self):
-        return {"form": "monomial", "n": self.n}
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -53,12 +50,6 @@ class Polynomial:
     @property
     def label(self):
         return f"polynomial(degree={len(self.coeffs) - 1})"
-
-    def to_spec(self):
-        return {
-            "form": "polynomial",
-            "coeffs": [[float(np.real(c)), float(np.imag(c))] for c in self.coeffs],
-        }
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,7 @@ class KernelSquared:
     def values(self, z):
         xi_bar = cmath.exp(-1j * self.xi_angle)
         denom = 1.0 - (1.0 - self.h) * xi_bar * np.asarray(z)
-        return (self.h / denom) ** 2 * np.ones_like(denom)
+        return (self.h / denom) ** 2
 
     @property
     def scale_hint(self):
@@ -94,9 +85,6 @@ class KernelSquared:
     @property
     def label(self):
         return f"kernel_squared(h={self.h:g}, xi_angle={self.xi_angle:g})"
-
-    def to_spec(self):
-        return {"form": "kernel_squared", "h": self.h, "xi_angle": self.xi_angle}
 
 
 @dataclass(frozen=True)
@@ -122,7 +110,7 @@ class ScaledKernel:
     def values(self, z):
         xi_bar = cmath.exp(-1j * self.xi_angle)
         denom = 1.0 - self.r_j * xi_bar * np.asarray(z)
-        return self.x_j * ((1.0 - self.r_j) / denom) ** 2 * np.ones_like(denom)
+        return self.x_j * ((1.0 - self.r_j) / denom) ** 2
 
     @property
     def scale_hint(self):
@@ -135,9 +123,6 @@ class ScaledKernel:
     @property
     def label(self):
         return f"scaled_kernel(x_j={self.x_j:g}, r_j={self.r_j:.12g})"
-
-    def to_spec(self):
-        return {"form": "scaled_kernel", "x_j": self.x_j, "xi_angle": self.xi_angle}
 
 
 class EvaluationEnvelope:
@@ -165,9 +150,6 @@ class EvaluationEnvelope:
     @property
     def label(self):
         return f"evaluation_envelope({self.psi.label})"
-
-    def to_spec(self):
-        return {"form": "evaluation_envelope"}
 
 
 def make_monomial(n: int) -> Monomial:

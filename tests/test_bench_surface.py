@@ -20,9 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # rule from DiskDomain.r_weights and CircleDomain.weights, an envelope ladder
 # makes it read describe()["k_max"], and a counterexample and a composition
 # drive the traced classifier through an anchored grid that drops anchors and
-# through an inner eval_log (op 0 of classify_sweep is a power function)
+# through an inner eval_log (op 0 of classify_sweep is a power function); the
+# monomial suite's Hardy norms make the harness count their radii
 PICKS = {
-    "suite_battery": ("counterexample", "contraction"),
+    "suite_battery": ("counterexample", "contraction", "monomial"),
     "norm_requests": (None, "bergman:paper_counterexample:constant",
                       "circle:paper_counterexample:kernel_squared"),
     "classify_sweep": (None, '{"family": "paper_counterexample", "n_max": 4, "r": 4.0}',
@@ -34,7 +35,7 @@ SCRIPT = f"""
 import tracing
 import workloads
 
-tracing.install(tracing.Tracer())
+tracer = tracing.install(tracing.Tracer())
 tracing.micro_timings(reps=1)
 for name, labels in {PICKS!r}.items():
     w = workloads.WORKLOADS[name]
@@ -44,6 +45,9 @@ for name, labels in {PICKS!r}.items():
         reason = w.check(op, w.run(op), None)
         assert reason is None, (name, op.label, reason)
         print(name, op.label)
+# a Hardy norm is solved at one radius, and the harness counts one
+hardy = [i for i, name in enumerate(tracer.names) if name == "norms.hardy_norm"]
+assert hardy and all(tracer.points[i] == 1 for i in hardy), [tracer.points[i] for i in hardy]
 """
 
 

@@ -131,6 +131,32 @@ def test_seed_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_evaluation_follows_the_seed(capsys):
+    outs = {}
+    for seed in ("11", "12"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "evaluation", "--seed", seed,
+                               "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["config"]["seed"] == int(seed)
+        outs[seed] = out
+    # the random polynomials are drawn from the seed
+    assert outs["11"] != outs["12"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--function", "power:2", "--seed", "1"),
+    ("norm", "--space", "hardy", "--function", "power:2", "--input", "const:3", "--seed", "1"),
+    ("norm", "--space", "hardy", "--function", "power:2", "--input", "const:3",
+     "--format", "csv"),
+    ("verify", "--suite", "counterexample", "--format", "csv"),
+    ("report", "--format", "csv"),
+], ids=["classify_seed", "norm_seed", "norm_csv", "verify_csv", "report_csv"])
+def test_options_a_command_would_ignore_are_usage_errors(capsys, argv):
+    # --seed only where a corpus is random, csv only for the classifier
+    assert run_cli(capsys, *argv)[0] == 64
+
+
 def test_report_command(capsys):
     code, out, _ = run_cli(capsys, "report", "--function", "power:2", "--format", "json")
     payload = json.loads(out)

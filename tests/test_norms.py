@@ -298,13 +298,6 @@ def test_modular_rejects_bad_scale():
         modular(make_monomial(1), P2, circle(32), -1.0)
 
 
-def test_hardy_rejects_bad_radii():
-    for radii in ((0.5, 1.5), (0.0,), (), (0.5, -0.25), (math.nan,)):
-        for norm in (hardy_norm, hardy_norms):
-            with pytest.raises(ValueError, match=r"radii must be non-empty and lie in \(0, 1\]"):
-                norm(make_monomial(1), P2 if norm is hardy_norm else ALL_PSIS, radii)
-
-
 def test_norms_refuse_the_other_kind_of_rule():
     # on disk(16, 8) z^3 has the Bergman norm 1/2 under x^2, on the circle
     # the Hardy and circle norm 1: the wrong rule would give the other norm
@@ -563,11 +556,12 @@ def test_modular_budget_per_bergman_solve(monkeypatch):
     # 8.98 for exp_log_squared and 6.0 for the counterexample)
     rule = disk(256, 96).describe()
     state, counts = {"n": 0, "on_rule": False}, {}
-    inner_sweep, inner_solve, inner_modular = norms._sweep, norms._solve_logs, norms._log_modular
+    inner_norms, inner_solve, inner_modular = (norms.luxemburg_norms, norms._solve_logs,
+                                               norms._log_modular)
 
-    def sweep(f, dom, psis, r=None):
+    def luxemburg_norms(f, psis, dom):
         state["on_rule"] = dom.describe() == rule
-        return inner_sweep(f, dom, psis, r)
+        return inner_norms(f, psis, dom)
 
     def solve(psi, log_av, log_w):
         state["n"] = 0
@@ -580,7 +574,7 @@ def test_modular_budget_per_bergman_solve(monkeypatch):
         state["n"] += 1
         return inner_modular(*args)
 
-    monkeypatch.setattr(norms, "_sweep", sweep)
+    monkeypatch.setattr(norms, "luxemburg_norms", luxemburg_norms)
     monkeypatch.setattr(norms, "_solve_logs", solve)
     monkeypatch.setattr(norms, "_log_modular", log_modular)
     suite_contraction()
@@ -593,7 +587,7 @@ def test_modular_budget_per_bergman_solve(monkeypatch):
 
 
 def test_hardy_solves_once_for_monomials(monkeypatch):
-    assert len(DEFAULT_RADII) == 21
+    assert DEFAULT_RADII == (1.0,)
     calls = _counting_solves(monkeypatch)
     for psi in ALL_PSIS:
         for n in (1, 5, 64):
@@ -734,16 +728,32 @@ def test_kernel_norm_memory_stays_bounded():
 # -- the Hardy norm at the largest radius ----------------------------------------
 
 
-def _row_by_row_sups(f, dom, psis, radii=DEFAULT_RADII):
+# the radii of the Hardy radius sweep that the one solve at radius 1 replaced
+_RADII = tuple(1.0 - 2.0**-k for k in range(1, 21)) + (1.0,)
+
+
+class _Dilate:
+    """f_r(z) = f(r z)."""
+
+    analytic = True
+
+    def __init__(self, f, r):
+        self.f, self.r, self.label = f, r, f"{f.label} at r={r:g}"
+
+    def values(self, z):
+        return self.f.values(self.r * np.asarray(z))
+
+
+def _row_by_row_sups(f, dom, psis, radii=_RADII):
     """The Hardy radius sweep from before hardy_norms solved only the largest
     radius, kept as the brute force: every radius, largest first, sampled
     alone, checked at each Psi's current sup and solved when that check
     exceeds 0.  Returns each Psi's [root, radius] of the sup."""
     radii = sorted(radii, reverse=True)
-    logs = _log_samples(*_samples(f, dom, radii[0]))
+    logs = _log_samples(*_samples(_Dilate(f, radii[0]), dom))
     sups = [[_solve_logs(psi, *logs), radii[0]] for psi in psis]
     for r in radii[1:]:
-        logs = _log_samples(*_samples(f, dom, r))
+        logs = _log_samples(*_samples(_Dilate(f, r), dom))
         for psi, sup in zip(psis, sups):
             v = sup[0].value
             if not (v > 0.0 and norms._log_modular(psi, *logs, math.log(v)) <= 0.0):
@@ -800,7 +810,7 @@ def test_batched_check_is_the_row_by_row_check(psi):
     # between the rows' smallest values.  (The name is from the blocked
     # radius check this test once covered.)
     dom = circle(512)
-    rows = np.array(DEFAULT_RADII[::-1][:12])
+    rows = np.array(_RADII[::-1][:12])
     av = np.abs(_polynomial(7).values(np.outer(rows, dom.nodes()).ravel())).reshape(12, -1)
     for log_c in (-2.62, -2.0, -1.93, 0.4, 1.5, 4.0):
         lx = np.log(av) - log_c
@@ -837,18 +847,6 @@ def test_blocked_sweep_evaluates_psi_no_more_than_row_by_row(make_f):
     assert all(c.points <= w for c, w in zip(counted, want))
 
 
-class _Dilate:
-    """f_r(z) = f(r z)."""
-
-    analytic = True
-
-    def __init__(self, f, r):
-        self.f, self.r, self.label = f, r, f"{f.label} at r={r:g}"
-
-    def values(self, z):
-        return self.f.values(self.r * np.asarray(z))
-
-
 _THEOREM_PSIS = ALL_PSIS + (arg_square(build_counterexample(4)),)
 
 
@@ -862,20 +860,13 @@ def test_no_dilate_beats_the_largest_radius(f):
     # Hardy's convexity theorem: for analytic f and convex increasing Psi the
     # circle norm of f_r does not decrease in r, which is why hardy_norms
     # solves only the largest radius; 1e-4 is quadrature noise
-    dom = norms._circle_for(f)
+    dom, inner = norms._circle_for(f), _RADII[:-1]
+    assert len(inner) == 20 and max(inner) < 1.0
     for psi, top in zip(_THEOREM_PSIS, hardy_norms(f, _THEOREM_PSIS, dom=dom)):
         assert top.argmax_radius == 1.0
         assert replace(top, argmax_radius=None).to_json() == circle_norm(f, psi, dom).to_json()
-        for r in DEFAULT_RADII[:-1]:
+        for r in inner:
             assert circle_norm(_Dilate(f, r), psi, dom).value <= top.value * (1.0 + 1e-4), r
-
-
-def test_hardy_norms_solve_the_largest_of_the_given_radii():
-    f, dom = _polynomial(5), circle()
-    for psi, got in zip(ALL_PSIS, hardy_norms(f, ALL_PSIS, radii=(0.5, 0.75))):
-        assert got.argmax_radius == 0.75
-        want = circle_norm(_Dilate(f, 0.75), psi, dom)
-        assert replace(got, argmax_radius=None).to_json() == want.to_json()
 
 
 class _LargestCall(_CountedValues):

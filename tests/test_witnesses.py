@@ -1,10 +1,13 @@
+import cmath
 import math
 import re
 
 import numpy as np
 import pytest
 
+from orlicz_lab.domains import BLOCK, DiskDomain, disk
 from orlicz_lab.functions import ExpMinusOne, PowerFunction, build_counterexample
+from orlicz_lab.norms import _samples
 from orlicz_lab.witnesses import (
     make_evaluation_envelope,
     make_kernel_family,
@@ -48,6 +51,28 @@ def test_kernel_range_check():
         make_kernel_squared(0.6)
     with pytest.raises(ValueError):
         make_kernel_squared(0.0)
+
+
+@pytest.mark.parametrize("u", [make_kernel_squared(1.0 / 32.0, 0.4),
+                               make_scaled_kernel(PowerFunction(2), 10.0, 2.5),
+                               make_scaled_kernel(build_counterexample(4), 56.0)],
+                         ids=lambda u: u.label)
+def test_kernel_moduli_are_those_of_the_broadcast_product(u):
+    # the kernels once multiplied their values by np.ones_like(denom); |values|
+    # keeps its bits on rules of several blocks, sampled as the norms sample
+    for dom in (disk(512, 128), DiskDomain.kernel_refined(u.scale_hint, u.xi_angle)):
+        assert dom.size >= 2 * BLOCK
+        z = dom.nodes()
+        xi_bar = cmath.exp(-1j * u.xi_angle)
+        if hasattr(u, "h"):
+            denom = 1.0 - (1.0 - u.h) * xi_bar * z
+            old = (u.h / denom) ** 2 * np.ones_like(denom)
+        else:
+            denom = 1.0 - u.r_j * xi_bar * z
+            old = u.x_j * ((1.0 - u.r_j) / denom) ** 2 * np.ones_like(denom)
+        want = np.abs(old)
+        for got in (np.abs(u.values(z)), _samples(u, dom)[0]):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_scaled_kernel_parameters():
