@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .logdomain import LOG_DBL_MAX, log1p_exp, log_add, log_diff, log_expm1
+from .logdomain import (LOG_DBL_MAX, _log1p_exp_inplace, _log_expm1_inplace, log1p_exp, log_add,
+                        log_diff, log_expm1)
 
 CONVEXITY_TOL = 1e-9
 MAX_BISECT_STEPS = 200
@@ -219,12 +220,13 @@ class ExpLogSquared(OrliczFunction):
 
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
-        # log(1 + x) computed from log x without forming x
-        l1p = log1p_exp(lx)
-        out = log_expm1(l1p * l1p)
+        # log(1 + x) from log x without forming x, squared, then log_expm1 in place
+        out = _log1p_exp_inplace(np.array(lx))
+        np.multiply(out, out, out=out)
+        _log_expm1_inplace(out)
         if lx.size and lx.min() < _LOG_X_TINY:  # log Psi(x) = 2 log x + O(x)
-            out = np.where(lx < _LOG_X_TINY, 2.0 * lx, out)
-        return float(out) if np.ndim(out) == 0 else out
+            np.multiply(lx, 2.0, out=out, where=lx < _LOG_X_TINY)
+        return float(out) if out.ndim == 0 else out
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)
@@ -245,10 +247,10 @@ class ExpMinusOne(OrliczFunction):
 
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
-        out = log_expm1(np.exp(lx))
+        out = _log_expm1_inplace(np.exp(lx, out=np.empty_like(lx)))
         if lx.size and lx.min() < _LOG_X_TINY:  # log Psi(x) = log x + O(x)
-            out = np.where(lx < _LOG_X_TINY, lx, out)
-        return float(out) if np.ndim(out) == 0 else out
+            np.copyto(out, lx, where=lx < _LOG_X_TINY)
+        return float(out) if out.ndim == 0 else out
 
     def inverse_log(self, log_y):
         ly = _as_float_array(log_y)

@@ -17,8 +17,18 @@ def log_add(a, b):
 
 
 def log1p_exp(s):
-    """log(1 + exp(s)) elementwise: np.logaddexp(0, s) as a vectorized formula."""
-    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
+    """log(1 + exp(s)), np.logaddexp(0, s) as a vectorized formula; s is not written."""
+    out = _log1p_exp_inplace(np.array(s, dtype=float))
+    return out[()] if out.ndim == 0 else out
+
+
+def _log1p_exp_inplace(s):
+    """log1p_exp of the float array s, which it overwrites; returns s."""
+    pos = np.maximum(s, 0.0)
+    np.exp(np.negative(np.abs(s, out=s), out=s), out=s)
+    np.log1p(s, out=s)
+    s += pos
+    return s
 
 
 def log_diff(a, b):
@@ -34,33 +44,45 @@ def log_diff(a, b):
 
 
 def log_sum(terms):
-    """logsumexp over a 1-d array, tolerating -inf entries; the terms are
-    not written."""
-    t = np.asarray(terms, dtype=float)
+    """logsumexp over a 1-d array, tolerating -inf entries; the terms are not written."""
+    return _log_sum_inplace(np.array(terms, dtype=float))
+
+
+def _log_sum_inplace(t):
+    """log_sum of the 1-d float array t, which it overwrites."""
     if t.size == 0:
         return -np.inf
     m = np.max(t)
     if not np.isfinite(m):
         return float(m)
-    d = t - m
-    np.exp(d, out=d)
-    return float(m + np.log(np.sum(d)))
+    t -= m
+    np.exp(t, out=t)
+    return float(m + np.log(np.sum(t)))
 
 
 def log_expm1(s):
-    """log(exp(s) - 1) for s > 0, elementwise, stable for both tails."""
-    s = np.asarray(s, dtype=float)
-    # only the small-s branch is in use (a NaN max takes the general path)
-    if s.size and s.ndim and s.max() <= 33.0:
-        with np.errstate(divide="ignore"):
-            return np.log(np.expm1(s))
-    small = np.minimum(s, 33.0)
+    """log(exp(s) - 1) for s > 0, elementwise, stable for both tails; s is not written."""
+    out = _log_expm1_inplace(np.array(s, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_expm1_inplace(s):
+    """log_expm1 of the float array s, which it overwrites; returns s."""
     with np.errstate(divide="ignore"):
-        out = np.where(
-            s > 33.0,
-            s + np.log1p(-np.exp(-np.minimum(s, LOG_DBL_MAX))),
-            np.log(np.expm1(small)),
-        )
-    if out.ndim == 0:
-        return float(out)
-    return out
+        # only the small-s branch is in use (a NaN max takes the general path)
+        if s.size and s.max() <= 33.0:
+            np.expm1(s, out=s)
+            return np.log(s, out=s)
+        # past 33 the result is s + log1p(-exp(-s)); for s >= 40, exp(-s) <=
+        # 4.3e-18 is below half an ulp of s (>= 3.5e-15), so the sum rounds to
+        # s and clamping at 40 changes no bit, while exp(-s) stays normal
+        tail = np.minimum(s, 40.0, out=np.empty_like(s))
+        np.exp(np.negative(tail, out=tail), out=tail)
+        np.log1p(np.negative(tail, out=tail), out=tail)
+        tail += s
+        big = s > 33.0
+        np.minimum(s, 33.0, out=s)
+        np.expm1(s, out=s)
+        np.log(s, out=s)
+        np.copyto(s, tail, where=big)
+    return s

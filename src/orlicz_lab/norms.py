@@ -20,9 +20,10 @@ theorem), so the sup is the circle norm of f itself, solved once.
 
 Memory: rules are sampled, and modulars evaluated, in blocks of at most
 domains.BLOCK = 2**15 points (at least one row), so a solve holds at full
-length only the logs of |f| and of the weights and one buffer of log-terms
-(copied once in log_sum).  The max, exp and pairwise sum of the log-sum-exp
-run on the whole buffer, so values are bitwise those of whole-rule evaluation.
+length only the logs of |f| and of the weights and one buffer: log|f| - log C,
+overwritten block by block with the log-terms, then by the log-sum-exp, which
+runs in place.  Its max, exp and pairwise sum run on the whole buffer, so
+values are bitwise those of whole-rule evaluation.
 
 A function outside the space never produces a silent wrong value: the search
 reports converged=False with an unbounded upper bracket instead.  Non-finite
@@ -39,7 +40,7 @@ import numpy as np
 
 from .domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
-from .logdomain import LOG_DBL_MAX, log_sum
+from .logdomain import LOG_DBL_MAX, _log_sum_inplace
 from .records import Record
 
 TOL_MODULAR = 1e-9
@@ -90,14 +91,14 @@ def _log_samples(abs_values, weights):
 
 
 def _log_modular(psi, log_av, log_w, log_c):
-    """log of the modular at scale exp(log_c): eval_log on blocks of at most
-    BLOCK points into one buffer, then one log-sum-exp; -inf for the zero
-    function."""
-    t = np.empty_like(log_av)
-    for i in range(0, log_av.size, BLOCK):
-        j = i + BLOCK
-        np.add(log_w[i:j], psi.eval_log(log_av[i:j] - log_c), out=t[i:j])
-    return log_sum(t)
+    """log of the modular at scale exp(log_c): log|f| - log_c in one buffer,
+    each block of at most BLOCK points replaced by log w + eval_log of it,
+    then a log-sum-exp over the buffer in place; -inf for the zero function."""
+    t = np.subtract(log_av, log_c)
+    for i in range(0, t.size, BLOCK):
+        block = t[i:i + BLOCK]
+        np.add(log_w[i:i + BLOCK], psi.eval_log(block), out=block)
+    return _log_sum_inplace(t)
 
 
 def _exp_modular(log_m):
@@ -107,8 +108,8 @@ def _exp_modular(log_m):
 def modular_from_values(psi: OrliczFunction, abs_values, weights, c: float) -> float:
     """Integral of Psi(|f|/c) against the weights; +inf when it leaves double
     range even in the log domain.  Non-finite samples raise ValueError."""
-    if c <= 0:
-        raise ValueError("the modular scale c must be positive")
+    if not c > 0:  # a NaN scale fails this test too
+        raise ValueError(f"the modular scale c must be positive, got {c!r}")
     return _exp_modular(_log_modular(psi, *_log_samples(abs_values, weights), math.log(c)))
 
 
@@ -141,7 +142,7 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
     log_peak = float(np.max(log_av))
     # Psi(mean|f|/C) <= M(C) <= Psi(max|f|/C) for convex Psi and total mass 1
     log_inv1 = float(psi.inverse_log(0.0))
-    s_lo = log_sum(log_av + log_w) - log_inv1 - 1e-9
+    s_lo = _log_sum_inplace(log_av + log_w) - log_inv1 - 1e-9
     s_hi = log_peak - log_inv1 + 1e-9
     for _ in range(_BRACKET_STEPS):
         g_lo = g(s_lo)
@@ -316,8 +317,9 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
     """Distribution-tail test mu(|f| > t) <= 1/Psi(c t) by quadrature-weight
     counting, plus a scan for the largest passing c."""
     t_grid = tuple(sorted(float(t) for t in t_grid))
-    if any(t <= 0 for t in t_grid):
-        raise ValueError("t_grid must be positive")
+    bad = [v for v in (c, *t_grid) if not v > 0]  # NaN included
+    if bad:
+        raise ValueError(f"c and t_grid must be positive, got {bad[0]!r}")
     dom = dom or DiskDomain.boundary_refined()
     av, w = _samples(f, dom)
     peak = float(np.max(av))
@@ -380,8 +382,9 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     monotone unbounded growth.
     """
     c_grid = tuple(float(c) for c in c_grid)
-    if min(c_grid) <= 0:
-        raise ValueError("the modular scale c must be positive")
+    bad = [c for c in c_grid if not c > 0]  # NaN included
+    if bad:
+        raise ValueError(f"the modular scale c must be positive, got {bad[0]!r}")
     if max(c_grid) / min(c_grid) < 1e4:
         raise ValueError("c_grid should span at least four decades")
     dom = dom or DiskDomain.boundary_refined(k_max=16)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from orlicz_lab.logdomain import log1p_exp, log_add, log_diff, log_expm1, log_sum
+from orlicz_lab.functions import ExpMinusOne
+from orlicz_lab.logdomain import _log_sum_inplace, log1p_exp, log_add, log_diff, log_expm1, log_sum
 
 
 def test_log_add_matches_linear():
@@ -73,6 +74,10 @@ _ABOVE_33 = np.nextafter(33.0, np.inf)
     np.array([]),
     np.array([np.nan]),
     np.array([np.nan, 1.0, 40.0]),
+    # log_expm1 clamps at 40, the oracle at 709: the same bits on either side of 40
+    np.linspace(33.0, 48.0, 15001),
+    np.array([np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, np.inf)]),
+    np.linspace(700.0, 750.0, 501),
     np.array([0.5]),
     np.array([800.0]),
     0.5,
@@ -81,6 +86,7 @@ _ABOVE_33 = np.nextafter(33.0, np.inf)
     np.array(0.5),
     np.array(800.0),
 ], ids=["small", "small_random", "mixed", "just_above_33", "mixed_dense", "large", "small_2d", "empty", "nan", "nan_mixed",
+        "dense_33_48", "around_40", "dense_700_750",
         "one_small", "one_large", "scalar_small", "scalar_large", "numpy_scalar", "zero_d_small",
         "zero_d_large"])
 def test_log_expm1_matches_two_branch_formula_bitwise(s):
@@ -97,6 +103,36 @@ def test_log_expm1_small_array_with_zero_warns_nothing():
         warnings.simplefilter("error")
         out = log_expm1(np.array([0.0, 1e-300, 1.0, 33.0]))
     assert out[0] == -math.inf
+
+
+def test_large_s_forms_no_subnormal():
+    # exp(-709) is subnormal: the large-s branch clamps at 40 instead
+    with np.errstate(under="raise"):
+        out = log_expm1(np.array([34.0, 720.0, 1e4, np.inf]))
+        ExpMinusOne().eval_log(np.array([0.0, 7.0, 9.0]))
+    assert out[1:].tolist() == [720.0, 1e4, np.inf]
+
+
+@pytest.mark.parametrize("terms", [
+    np.log(np.arange(1.0, 9.0)),
+    np.array([-np.inf, 0.0, -np.inf, -3.5, 2.0]),
+    np.array([-np.inf, -np.inf]),
+    np.array([np.inf, 1.0]),
+    np.array([]),
+    np.random.default_rng(11).normal(0.0, 30.0, 5000),
+], ids=["logs", "some_neg_inf", "all_neg_inf", "pos_inf", "empty", "random"])
+def test_log_sum_inplace_gives_the_bits_of_log_sum(terms):
+    want = log_sum(terms)
+    got = _log_sum_inplace(terms.copy())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_log1p_exp_leaves_its_input_unwritten():
+    s = np.linspace(-40.0, 40.0, 81)
+    before = s.copy()
+    want = np.log1p(np.exp(-np.abs(before))) + np.maximum(before, 0.0)
+    assert log1p_exp(s).tobytes() == want.tobytes()
+    assert np.array_equal(s, before)
 
 
 def test_log_sum_leaves_its_terms_unwritten():

@@ -296,6 +296,8 @@ def test_modular_rejects_bad_scale():
         modular(make_monomial(1), P2, circle(32), 0.0)
     with pytest.raises(ValueError):
         modular(make_monomial(1), P2, circle(32), -1.0)
+    with pytest.raises(ValueError, match="nan"):
+        modular(make_monomial(1), P2, circle(32), math.nan)
 
 
 def test_norms_refuse_the_other_kind_of_rule():
@@ -335,10 +337,23 @@ def test_morse_transue_requires_four_decades():
         morse_transue_evidence(make_monomial(1), P2, c_grid=(1.0, 0.5))
 
 
-@pytest.mark.parametrize("c_grid", [(100.0, 0.0), (100.0, 0.01, -1.0)])
+@pytest.mark.parametrize("c_grid", [(100.0, 0.0), (100.0, 0.01, -1.0),
+                                    (100.0, math.nan, 0.001)])
 def test_morse_transue_rejects_non_positive_scales(c_grid):
     with pytest.raises(ValueError, match="positive"):
         morse_transue_evidence(make_monomial(1), P2, c_grid=c_grid)
+
+
+@pytest.mark.parametrize("c, t_grid, named", [
+    (math.nan, (32.0, 64.0), "nan"),
+    (-1.0, (32.0, 64.0), "-1.0"),
+    (0.125, (32.0, math.nan), "nan"),
+    (0.125, (0.0, 64.0), "0.0"),
+])
+def test_weak_tail_check_rejects_non_positive_scales(c, t_grid, named):
+    # unchecked, a NaN c passes every row and c = -1 reaches math.log
+    with pytest.raises(ValueError, match=f"positive, got {named}"):
+        weak_tail_check(make_monomial(1), P2, dom=circle(32), c=c, t_grid=t_grid)
 
 
 def test_morse_transue_modulars_are_the_per_scale_modulars():
