@@ -332,11 +332,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # downstream consumer (head, less) closed the pipe; not an error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_OK
 
 
 def _run_and_exit(argv=None):
@@ -344,6 +339,8 @@ def _run_and_exit(argv=None):
         code = main(argv)
         sys.stdout.flush()
     except BrokenPipeError:
+        # the reader (head, less) closed the pipe, during a write or at the
+        # final flush; not an error
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = EXIT_OK

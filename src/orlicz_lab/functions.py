@@ -1,13 +1,17 @@
 """Orlicz functions and the calculus on them.
 
 An Orlicz function is a non-decreasing convex map of [0, inf) to itself with
-value 0 at 0.  This module provides the closed-form families used by the
-laboratory, piecewise-affine constructions (including the knotted
-counterexample family from :func:`build_counterexample`), and the operations
-everything else is built on: evaluation in linear and log domain, inversion,
-Legendre-type conjugation, and the two convexity-preserving compositions.
+value 0 at 0.  This module provides the closed-form families, piecewise-affine
+functions (with the knotted counterexample of :func:`build_counterexample`),
+the two convexity-preserving compositions, and their JSON spec documents.
 
-Instances are immutable after construction and safe to share across threads.
+One contract, kept in :class:`OrliczFunction`, holds for every family:
+``eval``, ``inverse`` and ``conjugate`` refuse a NaN or negative argument
+(``eval`` and ``inverse`` an infinite one too), answer 0 at 0, and ``eval``
+and ``inverse`` raise :class:`EvaluationOverflow` past double range.  A family
+gives only its formulas: ``eval_log`` and ``inverse_log``, and, where it has
+an exact linear-domain form, the private hooks ``_eval``, ``_inverse`` and
+``_conjugate``.  Instances are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -46,50 +50,46 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _check_argument(t, name):
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{name} expects a finite argument >= 0, got {t!r}")
+
+
 class OrliczFunction:
-    """Base class; concrete families implement eval_log and inverse_log."""
+    """Base class of every family, and the one argument contract.
+
+    A family implements ``eval_log`` and ``inverse_log``, the one extension
+    point.  The public ``eval``, ``inverse`` and ``conjugate`` check their
+    argument and answer 0 at 0, then call ``_eval``, ``_inverse`` or
+    ``_conjugate``.  By default those go through the log-domain evaluators,
+    and ``_conjugate`` through a ternary search; a family with an exact
+    linear-domain formula overrides them.  An infinite value or an
+    OverflowError from ``_eval`` or ``_inverse`` becomes EvaluationOverflow.
+    """
 
     family = "abstract"
-
-    def __init__(self):
-        self.domain_hint = (1e-3, 1e12)
-        self.trusted_log_hi = math.inf
-
-    # -- evaluation ---------------------------------------------------------
+    # the x-range a default grid samples, and the largest log x the
+    # construction covers; beyond it values are extrapolated
+    domain_hint = (1e-3, 1e12)
+    trusted_log_hi = math.inf
 
     def eval_log(self, log_x):
         """log Psi(exp(log_x)); accepts scalars or arrays."""
         raise NotImplementedError
 
-    def eval(self, x: float) -> float:
-        """Psi(x) in the linear domain; raises EvaluationOverflow if the
-        value cannot be represented as a double."""
-        if x < 0 or not math.isfinite(x):
-            raise ValueError(f"eval expects a finite x >= 0, got {x!r}")
-        if x == 0.0:
-            return 0.0
-        ly = float(self.eval_log(math.log(x)))
-        if ly > LOG_DBL_MAX:
-            raise EvaluationOverflow(
-                f"{self.label} at x={x:g} has log-value {ly:.3g}; "
-                "evaluate with eval_log"
-            )
-        return math.exp(ly)
-
-    # -- inversion ----------------------------------------------------------
-
     def inverse_log(self, log_y):
         """log of the preimage of exp(log_y); scalar or array."""
         raise NotImplementedError
 
-    def inverse(self, y: float) -> float:
-        if y < 0 or not math.isfinite(y):
-            raise ValueError(f"inverse expects a finite y >= 0, got {y!r}")
-        if y == 0.0:
-            return 0.0
-        return math.exp(float(self.inverse_log(math.log(y))))
+    # -- the contract -------------------------------------------------------
 
-    # -- conjugation --------------------------------------------------------
+    def eval(self, x: float) -> float:
+        """Psi(x) in the linear domain."""
+        return self._finite(self._eval, x, "eval")
+
+    def inverse(self, y: float) -> float:
+        """The preimage of y in the linear domain."""
+        return self._finite(self._inverse, y, "inverse")
 
     def conjugate(self, y: float) -> float:
         """Legendre-type conjugate sup_{x>0} (x*y - Psi(x)).
@@ -97,11 +97,32 @@ class OrliczFunction:
         Returns math.inf when the supremum is infinite (y above the limiting
         slope of Psi).
         """
-        if y < 0:
-            raise ValueError("conjugate expects y >= 0")
-        if y == 0.0:
+        if y == math.inf:
+            return math.inf
+        _check_argument(y, "conjugate")
+        return self._conjugate(y) if y else 0.0
+
+    def _finite(self, hook, t, name):
+        _check_argument(t, name)
+        if t == 0.0:
             return 0.0
-        return self._conjugate_search(y)
+        try:
+            v = hook(t)
+        except OverflowError:
+            v = math.inf
+        if math.isinf(v):
+            raise EvaluationOverflow(f"{self.label}: {name}({t:g}) exceeds double range; "
+                                     f"use {name}_log")
+        return v
+
+    # -- default hooks ------------------------------------------------------
+
+    def _eval(self, x):
+        ly = float(self.eval_log(math.log(x)))
+        return math.inf if ly > LOG_DBL_MAX else math.exp(ly)
+
+    def _inverse(self, y):
+        return math.exp(float(self.inverse_log(math.log(y))))
 
     def _eval_or_inf(self, x: float) -> float:
         try:
@@ -109,7 +130,7 @@ class OrliczFunction:
         except EvaluationOverflow:
             return math.inf
 
-    def _conjugate_search(self, y: float) -> float:
+    def _conjugate(self, y: float) -> float:
         # grow the bracket until the secant slope of Psi passes y
         hi = 1.0
         for _ in range(600):
@@ -172,29 +193,18 @@ class PowerFunction(OrliczFunction):
     family = "power"
 
     def __init__(self, p: float):
-        super().__init__()
         if not (p >= 1.0 and math.isfinite(p)):
             raise ValueError(f"power family needs p >= 1, got {p!r}")
         self.p = float(p)
 
-    def eval(self, x):
-        if x < 0 or not math.isfinite(x):
-            raise ValueError(f"eval expects a finite x >= 0, got {x!r}")
-        try:
-            v = x**self.p
-        except OverflowError:
-            raise EvaluationOverflow(f"x**{self.p} overflows at x={x:g}") from None
-        if math.isinf(v):
-            raise EvaluationOverflow(f"x**{self.p} overflows at x={x:g}")
-        return v
+    def _eval(self, x):
+        return x**self.p
 
     def eval_log(self, log_x):
         out = self.p * _as_float_array(log_x)
         return float(out) if out.ndim == 0 else out
 
-    def inverse(self, y):
-        if y < 0:
-            raise ValueError("inverse expects y >= 0")
+    def _inverse(self, y):
         return y ** (1.0 / self.p)
 
     def inverse_log(self, log_y):
@@ -275,23 +285,12 @@ class PiecewiseAffine(OrliczFunction):
     ``searchsorted``) and reads these tables.  Below the first knot the
     function is linear through the origin with ``init_slope``; beyond the
     last knot it continues with ``tail_slope`` and is flagged as
-    extrapolated.
+    extrapolated.  The knots are the growth anchors.
     """
 
     family = "piecewise"
 
-    def __init__(
-        self,
-        knots_linear,
-        tail_slope: float | None = None,
-        *,
-        family: str | None = None,
-        params: dict | None = None,
-        primary_anchor_logs=None,
-        secondary_anchor_logs=None,
-        domain_hint=None,
-    ):
-        super().__init__()
+    def __init__(self, knots_linear, tail_slope: float | None = None):
         knots = [(float(x), float(y)) for x, y in knots_linear]
         if not knots:
             raise ValueError("piecewise function needs at least one knot")
@@ -314,8 +313,8 @@ class PiecewiseAffine(OrliczFunction):
         self.init_slope = chords[0]
         self.init_slope_log = math.log(self.init_slope)
         self.tail_slope = float(tail_slope) if tail_slope is not None else float(chords[-1])
-        if self.tail_slope <= 0:
-            raise ValueError("tail slope must be positive")
+        if not 0.0 < self.tail_slope < math.inf:
+            raise ValueError(f"tail slope must be finite and positive, got {self.tail_slope!r}")
         # entry i is the slope of the piece that starts at knot i; the last
         # entry is the tail slope
         self.slopes = np.append(chords[1:], self.tail_slope)
@@ -332,35 +331,15 @@ class PiecewiseAffine(OrliczFunction):
             raise ValueError("knots do not describe a convex function")
 
         self.trusted_log_hi = float(self.log_xs[-1])
-        self.domain_hint = tuple(domain_hint) if domain_hint else (float(xs[0]), float(xs[-1]))
-        if family:
-            self.family = family
-        self.params = dict(params or {})
-        self._primary_anchor_logs = (
-            np.asarray(primary_anchor_logs, dtype=float)
-            if primary_anchor_logs is not None
-            else self.log_xs.copy()
-        )
-        self._secondary_anchor_logs = (
-            np.asarray(secondary_anchor_logs, dtype=float)
-            if secondary_anchor_logs is not None
-            else np.array([])
-        )
+        self.domain_hint = (float(xs[0]), float(xs[-1]))
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, x):
-        if x < 0 or not math.isfinite(x):
-            raise ValueError(f"eval expects a finite x >= 0, got {x!r}")
-        if x == 0.0:
-            return 0.0
+    def _eval(self, x):
         if x < self.xs[0]:
             return self.init_slope * x
         i = bisect.bisect_right(self.xs, x) - 1
-        y = self.ys[i] + self.slopes[i] * (x - self.xs[i])
-        if math.isinf(y):
-            raise EvaluationOverflow(f"{self.label} overflows at x={x:g}; use eval_log")
-        return float(y)
+        return float(self.ys[i] + self.slopes[i] * (x - self.xs[i]))
 
     def eval_log(self, log_x):
         lx = _as_float_array(log_x)
@@ -383,11 +362,7 @@ class PiecewiseAffine(OrliczFunction):
 
     # -- inversion ----------------------------------------------------------
 
-    def inverse(self, y):
-        if y < 0 or not math.isfinite(y):
-            raise ValueError(f"inverse expects a finite y >= 0, got {y!r}")
-        if y == 0.0:
-            return 0.0
+    def _inverse(self, y):
         if y < self.ys[0]:
             return y / self.init_slope
         i = bisect.bisect_right(self.ys, y) - 1
@@ -408,45 +383,70 @@ class PiecewiseAffine(OrliczFunction):
 
     # -- conjugation: exact knot scan --------------------------------------
 
-    def conjugate(self, y):
-        if y < 0:
-            raise ValueError("conjugate expects y >= 0")
-        if y == 0.0:
-            return 0.0
+    def _conjugate(self, y):
         if y > self.tail_slope * (1.0 + 1e-15):
             return math.inf
-        candidates = self.xs * y - self.ys
-        return float(max(0.0, np.max(candidates)))
+        return float(max(0.0, np.max(self.xs * y - self.ys)))
 
     # -- metadata -----------------------------------------------------------
 
     def growth_anchor_logs(self):
-        return self._primary_anchor_logs.copy()
-
-    def secondary_anchor_logs(self):
-        return self._secondary_anchor_logs.copy()
+        return self.log_xs.copy()
 
     @property
     def label(self):
-        if self.family == "paper_counterexample":
-            return (
-                f"paper_counterexample(n_max={self.params.get('n_max')}, "
-                f"r={self.params.get('r'):g})"
-            )
         return f"piecewise({len(self.xs)} knots)"
 
     def to_spec(self):
-        if self.family == "paper_counterexample":
-            return {
-                "family": "paper_counterexample",
-                "n_max": self.params["n_max"],
-                "r": self.params["r"],
-            }
         return {
             "family": "piecewise",
             "knots": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
             "tail_slope": self.tail_slope,
         }
+
+
+class _Counterexample(PiecewiseAffine):
+    """The knotted counterexample that :func:`build_counterexample` returns.
+
+    Its knots sit at x_n and 2 x_n; those are its primary and secondary
+    growth anchors.  The knot log-values are pinned to exact multiples of
+    log x_n, so that the growth quotient at a knot is zero in the log
+    domain, not merely 1e-16 close.  The slope tables are built from the
+    unpinned np.log values and must stay so: rebuilding them from the pinned
+    logs moves their last bits, and with them every value between the knots.
+    """
+
+    family = "paper_counterexample"
+
+    def __init__(self, n_max: int, r: float):
+        xs_int = counterexample_knot_points(n_max)
+        r_half = int(r) // 2 if r.is_integer() and int(r) % 2 == 0 else None
+        knots = []
+        for x in xs_int:
+            if r_half is not None:
+                knots += [(float(x), float(x**r_half)), (float(2 * x), float(x ** (2 * r_half)))]
+            else:
+                lx = math.log(float(x))
+                knots += [(float(x), math.exp(0.5 * r * lx)), (float(2 * x), math.exp(r * lx))]
+        super().__init__(knots)
+        self.params = {"n_max": n_max, "r": r}
+        self.domain_hint = (4.0, float(xs_int[-1]))
+        lx = np.array([math.log(float(x)) for x in xs_int])
+        self.log_xs[0::2], self.log_xs[1::2] = lx, [math.log(float(2 * x)) for x in xs_int]
+        self.log_ys[0::2], self.log_ys[1::2] = 0.5 * r * lx, r * lx
+
+    def growth_anchor_logs(self):
+        return self.log_xs[0::2].copy()
+
+    def secondary_anchor_logs(self):
+        return self.log_xs[1::2].copy()
+
+    @property
+    def label(self):
+        return f"paper_counterexample(n_max={self.params['n_max']}, r={self.params['r']:g})"
+
+    def to_spec(self):
+        return {"family": self.family, **self.params}
 
 
 def _sample_convexity_check(fn: OrliczFunction, lo: float, hi: float, n: int = 200):
@@ -466,24 +466,45 @@ def _sample_convexity_check(fn: OrliczFunction, lo: float, hi: float, n: int = 2
         raise ValueError(f"construction rejected: {fn.label} fails the convexity sample check")
 
 
-class SquareComposed(OrliczFunction):
+class _Composed(OrliczFunction):
+    """Psi built on an inner Orlicz function.  Each subclass maps the inner
+    function's log-x positions to its own with ``_x_of``; the anchors and the
+    trusted range follow that map."""
+
+    def __init__(self, inner: OrliczFunction, domain_hint):
+        self.inner = inner
+        self.domain_hint = domain_hint
+        self.trusted_log_hi = self._x_of(inner.trusted_log_hi)
+
+    def growth_anchor_logs(self):
+        return self._x_of(self.inner.growth_anchor_logs())
+
+    def secondary_anchor_logs(self):
+        return self._x_of(self.inner.secondary_anchor_logs())
+
+    @property
+    def label(self):
+        return f"{self.family}({self.inner.label})"
+
+    def to_spec(self):
+        return {"family": self.family, "inner": self.inner.to_spec()}
+
+
+class SquareComposed(_Composed):
     """Psi1(t) = [Psi(t)]**2; convex non-decreasing again, so still Orlicz."""
 
     family = "square_compose"
 
     def __init__(self, inner: OrliczFunction):
-        super().__init__()
-        self.inner = inner
-        self.domain_hint = inner.domain_hint
-        self.trusted_log_hi = inner.trusted_log_hi
+        super().__init__(inner, inner.domain_hint)
         _sample_convexity_check(self, *self.domain_hint)
 
-    def eval(self, x):
+    def _x_of(self, log_x):
+        return log_x
+
+    def _eval(self, x):
         v = self.inner.eval(x)
-        out = v * v
-        if math.isinf(out):
-            raise EvaluationOverflow(f"square of {self.inner.label} overflows at x={x:g}")
-        return out
+        return v * v
 
     def eval_log(self, log_x):
         return 2.0 * self.inner.eval_log(log_x)
@@ -491,37 +512,23 @@ class SquareComposed(OrliczFunction):
     def inverse_log(self, log_y):
         return self.inner.inverse_log(_as_float_array(log_y) / 2.0)
 
-    def growth_anchor_logs(self):
-        return self.inner.growth_anchor_logs()
 
-    def secondary_anchor_logs(self):
-        return self.inner.secondary_anchor_logs()
-
-    @property
-    def label(self):
-        return f"square_compose({self.inner.label})"
-
-    def to_spec(self):
-        return {"family": "square_compose", "inner": self.inner.to_spec()}
-
-
-class ArgSquared(OrliczFunction):
+class ArgSquared(_Composed):
     """Psi(x) = Psi0(x**2), the other convexity-preserving composition."""
 
     family = "arg_square"
 
     def __init__(self, inner: OrliczFunction):
-        super().__init__()
-        self.inner = inner
         lo, hi = inner.domain_hint
-        self.domain_hint = (math.sqrt(lo), math.sqrt(hi))
-        self.trusted_log_hi = inner.trusted_log_hi / 2.0
+        super().__init__(inner, (math.sqrt(lo), math.sqrt(hi)))
         _sample_convexity_check(self, *self.domain_hint)
 
-    def eval(self, x):
-        if x > 1e150:
-            raise EvaluationOverflow(f"x**2 overflows at x={x:g}")
-        return self.inner.eval(x * x)
+    def _x_of(self, log_x):
+        return log_x / 2.0
+
+    def _eval(self, x):
+        # x**2 leaves double range just past 1e154
+        return self.inner.eval(x * x) if x <= 1e150 else math.inf
 
     def eval_log(self, log_x):
         return self.inner.eval_log(2.0 * _as_float_array(log_x))
@@ -529,47 +536,28 @@ class ArgSquared(OrliczFunction):
     def inverse_log(self, log_y):
         return _as_float_array(self.inner.inverse_log(log_y)) / 2.0
 
-    def growth_anchor_logs(self):
-        return self.inner.growth_anchor_logs() / 2.0
 
-    def secondary_anchor_logs(self):
-        return self.inner.secondary_anchor_logs() / 2.0
-
-    @property
-    def label(self):
-        return f"arg_square({self.inner.label})"
-
-    def to_spec(self):
-        return {"family": "arg_square", "inner": self.inner.to_spec()}
-
-
-class ScaledArgument(OrliczFunction):
+class ScaledArgument(_Composed):
     """Psi_c(x) = Psi(c*x); internal helper for scale-invariance checks."""
 
     family = "_scaled_argument"
 
     def __init__(self, inner: OrliczFunction, c: float):
-        super().__init__()
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        self.inner = inner
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"scale factor must be finite and positive, got {c!r}")
         self.c = float(c)
         self._log_c = math.log(c)
         lo, hi = inner.domain_hint
-        self.domain_hint = (lo / c, hi / c)
-        self.trusted_log_hi = inner.trusted_log_hi - self._log_c
+        super().__init__(inner, (lo / c, hi / c))
+
+    def _x_of(self, log_x):
+        return log_x - self._log_c
 
     def eval_log(self, log_x):
         return self.inner.eval_log(_as_float_array(log_x) + self._log_c)
 
     def inverse_log(self, log_y):
         return _as_float_array(self.inner.inverse_log(log_y)) - self._log_c
-
-    def growth_anchor_logs(self):
-        return self.inner.growth_anchor_logs() - self._log_c
-
-    def secondary_anchor_logs(self):
-        return self.inner.secondary_anchor_logs() - self._log_c
 
     @property
     def label(self):
@@ -623,53 +611,12 @@ def build_counterexample(n_max: int = 4, r: float = 4.0) -> PiecewiseAffine:
         raise ValueError(f"n_max must be between 2 and 5, got {n_max}")
     if r < 4.0:
         raise ValueError(f"r must be at least 4, got {r}")
-    xs_int = counterexample_knot_points(n_max)
-    if r * math.log(float(xs_int[-1])) > _MAX_KNOT_LOG:
+    if r * math.log(float(counterexample_knot_points(n_max)[-1])) > _MAX_KNOT_LOG:
         raise ValueError(
             f"knot value x_{n_max}**{r:g} exceeds double range; "
             "reduce n_max or r"
         )
-
-    r_half_int = None
-    if float(r).is_integer() and int(r) % 2 == 0:
-        r_half_int = int(r) // 2
-
-    knots = []
-    primary_logs = []
-    secondary_logs = []
-    for x in xs_int:
-        if r_half_int is not None:
-            y_lo = x**r_half_int
-            y_hi = x ** (2 * r_half_int)
-            knots.append((float(x), float(y_lo)))
-            knots.append((float(2 * x), float(y_hi)))
-        else:
-            lx = math.log(float(x))
-            knots.append((float(x), math.exp(0.5 * r * lx)))
-            knots.append((float(2 * x), math.exp(r * lx)))
-        primary_logs.append(math.log(float(x)))
-        secondary_logs.append(math.log(float(2 * x)))
-
-    psi = PiecewiseAffine(
-        knots,
-        family="paper_counterexample",
-        params={"n_max": n_max, "r": float(r)},
-        primary_anchor_logs=primary_logs,
-        secondary_anchor_logs=secondary_logs,
-        domain_hint=(4.0, float(xs_int[-1])),
-    )
-    # pin the knot log-values to exact multiples of log x_n so that the
-    # quotient at a knot is zero in the log domain, not merely 1e-16 close.
-    # The slope tables were built from the unpinned np.log values and must
-    # stay so: rebuilding them from the pinned logs moves their last bits,
-    # and with them every value between the knots.
-    for i, x in enumerate(xs_int):
-        lx = math.log(float(x))
-        psi.log_ys[2 * i] = 0.5 * r * lx
-        psi.log_ys[2 * i + 1] = r * lx
-        psi.log_xs[2 * i] = lx
-        psi.log_xs[2 * i + 1] = math.log(float(2 * x))
-    return psi
+    return _Counterexample(n_max, float(r))
 
 
 # -- JSON function-spec documents -------------------------------------------

@@ -45,6 +45,11 @@ for name, labels in {PICKS!r}.items():
         reason = w.check(op, w.run(op), None)
         assert reason is None, (name, op.label, reason)
         print(name, op.label)
+# the harness wraps only the methods in a class's own __dict__: the Psi layers
+# must still record spans, eval_log and the linear-domain inverse included
+seen = set(map(tracer.layer_of.get, tracer.names))
+assert "eval_log" in seen and "inverse" in seen, sorted(map(str, seen))
+assert any(name.endswith(".inverse") for name in tracer.names), sorted(set(tracer.names))
 # a Hardy norm is solved at one radius, and the harness counts one
 hardy = [i for i, name in enumerate(tracer.names) if name == "norms.hardy_norm"]
 assert hardy and all(tracer.points[i] == 1 for i in hardy), [tracer.points[i] for i in hardy]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from orlicz_lab.classify import classify_injection
 from orlicz_lab.cli import main
 from orlicz_lab.functions import build_counterexample
 from orlicz_lab.grids import GrowthSampleGrid
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -189,3 +195,32 @@ def test_classify_refuses_a_window_it_would_not_use(capsys):
                              "--x-lo", "100", "--x-hi", "1000")
     assert code == 64 and out == ""
     assert "classified on its knot anchors" in err
+
+
+def _cli_into_closed_pipe(argv, read_first):
+    """Run the CLI in a subprocess with stdout on a pipe whose reader reads
+    ``read_first`` bytes and then closes it (at once if 0)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    if not read_first:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "orlicz_lab.cli", *argv], env=env,
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    if read_first:
+        with os.fdopen(read_end, "rb") as reader:
+            assert len(reader.read(read_first)) == read_first
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+# carleson's text report fits the output buffer, so the pipe breaks at the
+# final flush; the report is larger than a pipe holds, so it breaks mid-write
+@pytest.mark.parametrize("argv, read_first", [
+    (("verify", "--suite", "carleson", "--format", "text"), 0),
+    (("report",), 16),
+], ids=["verify_at_flush", "report_mid_write"])
+def test_a_closed_pipe_is_not_an_error(argv, read_first):
+    code, err = _cli_into_closed_pipe(argv, read_first)
+    assert code == 0 and err == "", err

@@ -17,6 +17,7 @@ from orlicz_lab.functions import (
     counterexample_delta,
     counterexample_knot_points,
     parse_function_spec,
+    scale_argument,
     square_compose,
 )
 
@@ -274,6 +275,15 @@ def test_piecewise_validation():
     with pytest.raises(ValueError):
         # concave: chord slopes drop from 4 to 1
         PiecewiseAffine([(1.0, 4.0), (2.0, 5.0)], tail_slope=0.5)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            PiecewiseAffine([(4.0, 16.0), (8.0, 48.0)], tail_slope=bad)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -2.0])
+def test_scale_argument_needs_a_finite_positive_factor(c):
+    with pytest.raises(ValueError, match=f"got {c!r}"):
+        scale_argument(PowerFunction(2), c)
 
 
 def test_spec_round_trip():
@@ -300,6 +310,9 @@ def test_spec_errors():
         parse_function_spec({"family": "no_such_family"})
     with pytest.raises(ValueError):
         parse_function_spec({"family": "power"})
+    # json.loads reads NaN, and a NaN tail slope would make Psi NaN past the knots
+    with pytest.raises(ValueError, match="got nan"):
+        parse_function_spec('{"family": "piecewise", "knots": [[4, 16], [8, 48]], "tail_slope": NaN}')
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,3 +503,65 @@ def test_exp_log_squared_matches_mpmath(psi, inverse):
     assert not np.any(bad), list(zip(pts[bad], got[bad], want[bad]))[:5]
     for g, w, b, s in zip(got[::7], want[::7], bound[::7], scalars):
         assert type(s) is float and abs(s - w) <= b, (g, s, w)
+
+
+# one of each family and composition; the contract below holds for all of them
+CONTRACT_CASES = {
+    "power": PowerFunction(2),
+    "exp_log_squared": ExpLogSquared(),
+    "exp_minus_one": ExpMinusOne(),
+    "piecewise": PiecewiseAffine([(4.0, 16.0), (8.0, 48.0)], tail_slope=20.0),
+    "paper_counterexample": build_counterexample(4),
+    "square_compose": square_compose(PowerFunction(2)),
+    "arg_square": arg_square(PowerFunction(2)),
+    "scale_argument": scale_argument(ExpLogSquared(), 3.0),
+}
+
+
+@pytest.mark.parametrize("psi", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys())
+def test_argument_contract(psi):
+    for bad in (math.nan, -1.0, math.inf):
+        for method in (psi.eval, psi.inverse):
+            with pytest.raises(ValueError, match="expects a finite argument >= 0"):
+                method(bad)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="expects a finite argument >= 0"):
+            psi.conjugate(bad)
+    assert psi.conjugate(math.inf) == math.inf
+    assert psi.eval(0.0) == psi.inverse(0.0) == psi.conjugate(0.0) == 0.0
+
+
+def test_arg_square_overflow_is_signalled():
+    with pytest.raises(EvaluationOverflow, match=r"arg_square\(power\(p=2\)\): eval\(1e\+200\)"):
+        arg_square(PowerFunction(2)).eval(1e200)
+    with pytest.raises(EvaluationOverflow, match=r"square_compose\(power\(p=2\)\)"):
+        square_compose(PowerFunction(2)).eval(1e160)
+
+
+# every one of these builds stays in double range (x_5**6 is about 1e283)
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [4.0, 4.5, 6.0])
+def test_counterexample_metadata(n_max, r):
+    psi = build_counterexample(n_max, r)
+    xs = counterexample_knot_points(n_max)
+    primary = np.array([math.log(float(x)) for x in xs])
+    secondary = np.array([math.log(float(2 * x)) for x in xs])
+    assert _bitwise(psi.growth_anchor_logs(), primary)
+    assert _bitwise(psi.secondary_anchor_logs(), secondary)
+    assert _bitwise(psi.log_ys[0::2], 0.5 * r * primary) and _bitwise(psi.log_ys[1::2], r * primary)
+    assert psi.domain_hint == (4.0, float(xs[-1]))
+    # the trusted range ends at the last knot, as numpy's log reads it
+    assert psi.trusted_log_hi == float(np.log(float(2 * xs[-1])))
+    assert psi.family == "paper_counterexample"
+    assert psi.label == f"paper_counterexample(n_max={n_max}, r={r:g})"
+    assert psi.to_spec() == {"family": "paper_counterexample", "n_max": n_max, "r": r}
+    again = parse_function_spec(psi.to_spec())
+    assert _bitwise(again.log_xs, psi.log_xs) and _bitwise(again.log_ys, psi.log_ys)
+
+
+def test_piecewise_metadata():
+    psi = PiecewiseAffine([(4.0, 16.0), (8.0, 48.0), (16.0, 160.0)])
+    assert _bitwise(psi.growth_anchor_logs(), np.log([4.0, 8.0, 16.0]))
+    assert psi.secondary_anchor_logs().shape == (0,)
+    assert psi.domain_hint == (4.0, 16.0)
+    assert psi.family == "piecewise" and psi.label == "piecewise(3 knots)"
