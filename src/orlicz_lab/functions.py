@@ -309,7 +309,13 @@ class PiecewiseAffine(OrliczFunction):
         self.log_ys = np.log(ys)
 
         # chord slopes from the origin to the first knot and between knots
-        chords = np.diff(ys, prepend=0.0) / np.diff(xs, prepend=0.0)
+        with np.errstate(over="ignore"):
+            chords = np.diff(ys, prepend=0.0) / np.diff(xs, prepend=0.0)
+        bad = np.flatnonzero(~((chords > 0.0) & (chords < math.inf)))
+        if bad.size:
+            a, b = ([(0.0, 0.0)] + knots)[bad[0]:bad[0] + 2]
+            raise ValueError(f"the chord slope between {a} and {b} is "
+                             f"{float(chords[bad[0]])!r}, not a finite positive double")
         self.init_slope = chords[0]
         self.init_slope_log = math.log(self.init_slope)
         self.tail_slope = float(tail_slope) if tail_slope is not None else float(chords[-1])
@@ -527,8 +533,9 @@ class ArgSquared(_Composed):
         return log_x / 2.0
 
     def _eval(self, x):
-        # x**2 leaves double range just past 1e154
-        return self.inner.eval(x * x) if x <= 1e150 else math.inf
+        # x * x leaves double range past about 1.34e154
+        y = x * x
+        return math.inf if y == math.inf else self.inner.eval(y)
 
     def eval_log(self, log_x):
         return self.inner.eval_log(2.0 * _as_float_array(log_x))

@@ -6,41 +6,98 @@ as JSON arrays and read back as tuples, nested arrays included; dicts are
 passed through as they are.  A field named in ``_nested`` holds a tuple of
 records of the given type.  A document that omits a field with a default
 gets the default; one that omits a required field raises KeyError.
-Every JSON document the package writes goes through ``dumps``.
+
+Every JSON document the package writes goes through ``dumps``: the bytes
+of ``json.dumps(value, indent=2)``, written as a list of pieces joined
+once.  A table of finite floats (a list or tuple of lists or tuples of one
+width: ``ratio_log``, the witnesses) is one piece, written from one
+``repr`` pass over its cells.  Other tables (int, bool or None cells,
+ragged rows, a nan or an infinity, still written ``NaN`` and ``Infinity``)
+take one compact ``json.dumps`` call and are re-indented; the rest is
+walked.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import MISSING, fields
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
+
+_repr = float.__repr__
+_ARRAY = (list, tuple)
 
 
-def dumps(value, _pad="\n") -> str:
-    """Exactly ``json.dumps(value, indent=2)``, mostly from the C encoder.
+def dumps(value) -> str:
+    """Exactly ``json.dumps(value, indent=2)``, at about the cost of ``repr``.
 
-    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder.  This
-    walks dicts and lists itself and encodes a table of rows of numbers
-    (``ratio_log``, witnesses) in one flat C call, then re-indents it.
+    With an indent, ``json.dumps`` runs its pure-Python encoder.  Here
+    ``str`` keys and values go through its ``encode_basestring_ascii`` and
+    finite floats through ``float.__repr__``; dicts with a non-``str`` key
+    and other scalars go to ``json.dumps``, with its coercions and errors.
     """
-    inner = _pad + "  "
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, pad, out):
+    inner = pad + "  "
     if isinstance(value, dict) and value:
-        if not all(isinstance(k, str) for k in value):
+        if not all(map(isinstance, value, repeat(str))):
             # the stdlib's coercion (int, float, bool, None keys) and errors
-            return json.dumps(value, indent=2).replace("\n", _pad)
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + dumps(v, inner) for k, v in value.items()) + _pad + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if all(isinstance(r, (list, tuple)) and r for r in value):
-            flat = json.dumps(value)
-            # no strings (nor dict keys) and no list inside a row: every ", " and
-            # "], [" is structure, and an empty {} is written alike either way
-            if '"' not in flat and flat.count("[") == len(value) + 1:
-                row = inner + "  "
-                body = flat[2:-2].replace("], [", inner + "]," + inner + "[" + row)
-                body = body.replace(", ", "," + row)
-                return "[" + inner + "[" + row + body + inner + "]" + _pad + "]"
-        return "[" + inner + ("," + inner).join(dumps(v, inner) for v in value) + _pad + "]"
-    return json.dumps(value)
+            out.append(json.dumps(value, indent=2).replace("\n", pad))
+            return
+        sep = "{" + inner
+        for k, v in value.items():
+            out.append(sep + _string(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, _ARRAY) and value:
+        body = all(map(isinstance, value, repeat(_ARRAY))) and _table_body(value, inner)
+        if body:
+            out += ("[" + inner + "[" + inner + "  ", body, inner + "]" + pad + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, str):
+        out.append(_string(value))
+    elif isinstance(value, float) and isfinite(value):
+        out.append(_repr(value))
+    elif isinstance(value, (list, tuple, dict)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _table_body(rows, inner):
+    """A table's rows as indented JSON without the outer brackets, or None
+    when they must be walked element-wise."""
+    row = inner + "  "
+    widths = set(map(len, rows))
+    if 0 in widths:
+        return None
+    body = "n"
+    if len(widths) == 1:
+        with suppress(TypeError):  # an int, bool, None, str or nested cell
+            body = (inner + "]," + inner + "[" + row).join(map(("," + row).join, zip(
+                *[map(_repr, chain.from_iterable(rows))] * len(rows[0]))))
+    # a finite float's repr has no "n"; nan, inf and -inf go the compact way
+    if "n" in body:
+        flat = json.dumps(rows)
+        # no strings (nor dict keys) and no list inside a row: every ", " and
+        # "], [" is structure, and an empty {} is written alike either way
+        if '"' in flat or flat.count("[") != len(rows) + 1:
+            return None
+        body = flat[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
+    return body
 
 
 def _tuples(value):

@@ -278,6 +278,14 @@ def test_piecewise_validation():
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             PiecewiseAffine([(4.0, 16.0), (8.0, 48.0)], tail_slope=bad)
+    # a chord slope past double range is refused by name, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"chord slope between \(1\.0, 1\.0\) and "
+                                             r"\(1\.0000000000000002, 1e\+300\) is inf"):
+            PiecewiseAffine([(1.0, 1.0), (1.0 + 2.3e-16, 1e300)])
+        with pytest.raises(ValueError, match=r"between \(0\.0, 0\.0\) and \(1e-300, 1e\+300\)"):
+            PiecewiseAffine([(1e-300, 1e300)])
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -2.0])
@@ -536,6 +544,18 @@ def test_arg_square_overflow_is_signalled():
         arg_square(PowerFunction(2)).eval(1e200)
     with pytest.raises(EvaluationOverflow, match=r"square_compose\(power\(p=2\)\)"):
         square_compose(PowerFunction(2)).eval(1e160)
+
+
+def test_arg_square_is_finite_until_the_square_overflows():
+    # x * x stays finite up to about 1.34e154, and so does Psi0(x * x) for p = 1
+    psi = arg_square(PowerFunction(1))
+    assert psi.eval(1e151).hex() == (1e302).hex()
+    assert psi.eval_log(math.log(1e151)) == pytest.approx(math.log(1e302), rel=1e-15)
+    with pytest.raises(EvaluationOverflow, match=r"arg_square\(power\(p=1\)\): eval\(1e\+155\)"):
+        psi.eval(1e155)
+    # the square is finite, the inner value is not
+    with pytest.raises(EvaluationOverflow, match=r"arg_square\(power\(p=2\)\): eval\(1e\+100\)"):
+        arg_square(PowerFunction(2)).eval(1e100)
 
 
 # every one of these builds stays in double range (x_5**6 is about 1e283)

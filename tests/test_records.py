@@ -4,11 +4,14 @@ the bytes of ``json.dumps(indent=2)``."""
 
 import json
 import math
+from collections import OrderedDict, namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicz_lab import records
 from orlicz_lab.classify import (
     EVIDENCE_LABEL,
     ConditionEvidence,
@@ -17,7 +20,8 @@ from orlicz_lab.classify import (
     classify_injection,
 )
 from orlicz_lab.domains import disk
-from orlicz_lab.functions import PowerFunction, build_counterexample
+from orlicz_lab.functions import PowerFunction, build_counterexample, parse_function_spec
+from orlicz_lab.grids import GrowthSampleGrid
 from orlicz_lab.norms import NormResult, bergman_norm
 from orlicz_lab.records import dumps
 from orlicz_lab.suites import CheckRecord, SuiteReport, suite_carleson_window
@@ -122,6 +126,24 @@ EDGE_CASES = [
     {1: "int", 2.5: "float", True: "bool", None: "none"}, {"s": 1, 3: [{0.5: [[1.0]]}]},
     [{-0.0: 1, math.inf: 2, math.nan: 3}],
 ]
+Pair = namedtuple("Pair", "x y")
+# the repr path for tables of finite floats, and the tables that must leave it
+EDGE_CASES += [
+    [Pair(1.0, 2.0), Pair(3.0, 4.0)], (Pair(1.0, 2.0), [3.0, 4.0]), [Pair(1, 2.0)],
+    {"p": Pair(0.5, math.nan)},
+    OrderedDict([("rows", [[1.0, 2.0], [3.0, 4.0]]), ("a", 1.0)]), OrderedDict(),
+    [[np.float64(1.5), np.float64(-0.0)], [np.float64(1e16), np.float64(math.inf)]],
+    {"t": [(np.float64(2.5), np.float64(1e-05))]},
+    [[1.0, 2.0], (3.0, 4.0), [5.0, 6.0]], ([1.0], (2.0,)),
+    [[1e16, 1e-05], [5e-324, -0.0]], [[-1e16, 1e-300, 2.5e-08, 1.7976931348623157e308]],
+] + [[[a, 1.0], [2.0, b]] for a, b in ((math.nan, 3.0), (3.0, math.nan), (math.inf, 3.0),
+                                     (3.0, math.inf), (-math.inf, 3.0), (3.0, -math.inf))]
+EDGE_CASES += [pytest.param([[i / 7.0, -i * 1e-3] for i in range(1000)], id="rows1000x2"),
+               pytest.param({"a": [(i * 0.5, math.inf if i == 999 else 1.0) for i in range(1000)]},
+                            id="rows1000x2-last-inf"),
+               # no table anywhere: a long walk of small pieces
+               pytest.param({f"k{i}": {"v": i / 3.0, "s": "x" * 30} for i in range(300)},
+                            id="dict300-no-tables")]
 
 
 @pytest.mark.parametrize("value", EDGE_CASES, ids=repr)
@@ -130,7 +152,8 @@ def test_dumps_matches_indented_json(value):
 
 
 def test_dumps_rejects_what_json_rejects():
-    for bad in ({(1, 2): 3}, [[1.0, object()]], {"a": [{"b": {1.0, 2.0}}]}):
+    for bad in ({(1, 2): 3}, [[1.0, object()]], {"a": [{"b": {1.0, 2.0}}]},
+                [np.array([1.0, 2.0])], [[1.0, np.array([2.0])]]):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
@@ -139,8 +162,14 @@ def test_dumps_rejects_what_json_rejects():
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 _keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
-_rows = st.lists(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=4),
-                 min_size=1, max_size=4)
+_rows = st.one_of(
+    st.lists(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    # float-only tables of one width, the repr path (nan and inf included)
+    st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width).map(tuple) |
+        st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=6)),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -161,3 +190,25 @@ def test_dumps_matches_indented_json_property(value):
 def test_record_json_is_indented_json(injection, suite, norm):
     for record in (injection, suite, norm, CHECK, CONDITION, QUOTIENT):
         assert record.to_json() == json.dumps(record.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("spec", [{"family": "power", "p": 2.5},
+                                  {"family": "paper_counterexample", "n_max": 4}],
+                         ids=["power:2.5", "paper_counterexample:4"])
+def test_classification_tables_take_the_repr_path(spec, monkeypatch):
+    # every table of a classification is float-only and of one width; a
+    # list or tuple handed to json.dumps would mean the slow path
+    psi = parse_function_spec(spec)
+    report = classify_injection(psi, GrowthSampleGrid.default_for(psi))
+    seen, real_dumps = [], json.dumps
+
+    def spy(value, **kwargs):
+        seen.append(value)
+        return real_dumps(value, **kwargs)
+
+    monkeypatch.setattr(records.json, "dumps", spy)
+    text = report.to_json()
+    monkeypatch.undo()
+    assert [v for v in seen if isinstance(v, (list, tuple))] == []
+    assert text == json.dumps(report.to_dict(), indent=2)
+    assert report.q_a_table and all(q.ratio_log for q in report.q_a_table)
