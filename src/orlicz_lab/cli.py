@@ -24,15 +24,8 @@ from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
 from .records import dumps
 from .domains import disk
-from .suites import (
-    DEFAULT_SEED,
-    SUITE_NAMES,
-    run_all_suites,
-    run_suite,
-    suite_carleson_window,
-    suite_kernel_bounds,
-)
-from .witnesses import parse_sampled_spec
+from .suites import DEFAULT_SEED, SEEDED_SUITES, SUITE_NAMES, run_all_suites, run_suite
+from .witnesses import ParameterRangeError, parse_sampled_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -185,6 +178,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    if args.space != "disk" and (args.n_theta is not None or args.n_radial is not None):
+        raise UsageError("--n-theta and --n-radial apply to --space disk only")
     psi = _function_from_arg(args.function)
     try:
         f = parse_sampled_spec(_load_spec(args.input), psi=psi)
@@ -196,11 +191,9 @@ def cmd_norm(args) -> int:
         result = bergman_norm(f, psi)
     elif args.space == "circle":
         result = circle_norm(f, psi)
-    elif args.space == "disk":
+    else:
         dom = disk(args.n_theta or 512, args.n_radial or 128)
         result = luxemburg_norm(f, psi, dom)
-    else:
-        raise UsageError(f"unknown space {args.space!r}")
     fmt = _default_format(args.format)
     if fmt == "json":
         _emit(result.to_json(), args.output)
@@ -216,21 +209,21 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "all" and args.suite not in SUITE_NAMES:
+        raise UsageError(
+            f"unknown suite {args.suite!r}; expected all or one of {', '.join(SUITE_NAMES)}"
+        )
     if args.h is not None and args.suite not in ("kernel", "carleson"):
         raise UsageError("--h applies to the kernel and carleson suites only")
-    if args.suite == "all":
-        reports = run_all_suites(seed=args.seed)
-    else:
-        if args.suite not in SUITE_NAMES:
-            raise UsageError(
-                f"unknown suite {args.suite!r}; expected all or one of {', '.join(SUITE_NAMES)}"
-            )
-        if args.h is not None and args.suite == "kernel":
-            reports = [suite_kernel_bounds(h_grid=(args.h,))]
-        elif args.h is not None and args.suite == "carleson":
-            reports = [suite_carleson_window(h_grid=(args.h,))]
-        else:
-            reports = [run_suite(args.suite, seed=args.seed)]
+    if args.seed is not None and args.suite not in ("all", *SEEDED_SUITES):
+        raise UsageError(f"--seed applies to all or the {' and '.join(SEEDED_SUITES)} suites only")
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    options = {"h_grid": (args.h,)} if args.h is not None else {}
+    try:
+        reports = [run_suite(name, seed=seed, **options) for name in names]
+    except ParameterRangeError as exc:
+        raise UsageError(str(exc)) from None
     fmt = _default_format(args.format)
     if fmt == "json":
         _emit(dumps([r.to_dict() for r in reports]), args.output)
@@ -243,7 +236,7 @@ def cmd_report(args) -> int:
     psi = _function_from_arg(args.function)
     grid = GrowthSampleGrid.default_for(psi)
     classification = classify_injection(psi, grid)
-    suites = run_all_suites(seed=args.seed)
+    suites = run_all_suites(seed=DEFAULT_SEED if args.seed is None else args.seed)
     payload = {
         "classification": classification.to_dict(),
         "suites": [r.to_dict() for r in suites],
@@ -279,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats,
                        help="defaults to text on a terminal, json when piped")
         if seeded:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help="seed for randomized corpora")
+            p.add_argument("--seed", type=int,
+                           help=f"seed for randomized corpora (default {DEFAULT_SEED})")
 
     p = sub.add_parser("classify", help="growth-condition classification of a function")
     p.add_argument("--function", required=True,

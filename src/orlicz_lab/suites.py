@@ -4,7 +4,12 @@ Each suite runs a battery of numerically checkable inequalities and
 constructions and emits a structured report: one record per check carrying
 the computed sides, the relation tested, the margin, and a statement of the
 mathematical fact being verified.  Reports are deterministic for a fixed
-configuration; randomized corpora are seeded.
+configuration.
+
+``SUITES`` maps each suite name to its suite function, in battery order, and
+``run_suite(name, seed, **options)`` is the one way in: the seed reaches
+only the suites whose corpus is random (``SEEDED_SUITES``), and the options
+are the suite function's own keyword arguments.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .norms import (
 )
 from .records import Record
 from .witnesses import (
+    ParameterRangeError,
     make_evaluation_envelope,
     make_kernel_family,
     make_kernel_squared,
@@ -47,16 +53,6 @@ from .witnesses import (
 
 DEFAULT_SEED = 987134
 KERNEL_SUM_BOUND = math.e**2 / (math.e - 1.0) ** 2  # 2.502650301077119
-
-SUITE_NAMES = (
-    "contraction",
-    "carleson",
-    "monomial",
-    "kernel",
-    "evaluation",
-    "counterexample",
-    "order",
-)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def _report(name, config, checks, notes=()):
     )
 
 
-def _check(description, statement, lhs, rhs, relation, tol=0.0, extra=None):
+def _check(description, statement, lhs, rhs, relation, tol=0.0, extra=None, failure=None):
     lhs = float(lhs)
     rhs = float(rhs)
     if relation == "<=":
@@ -116,6 +112,8 @@ def _check(description, statement, lhs, rhs, relation, tol=0.0, extra=None):
         margin = tol - abs(lhs - rhs)
     else:
         raise ValueError(f"unknown relation {relation!r}")
+    if failure is not None:
+        margin, extra = -math.inf, {**(extra or {}), "failure": failure}
     return CheckRecord(
         description=description,
         statement=statement,
@@ -137,17 +135,15 @@ def _random_polynomials(rng, count, max_degree=20):
     return polys
 
 
-def _default_psis():
-    return (PowerFunction(2), ExpLogSquared(), build_counterexample(4))
-
-
 # -- contraction ---------------------------------------------------------------
 
 
 def suite_contraction(psis=None, n_random: int = 50, max_degree: int = 20,
                       seed: int = DEFAULT_SEED) -> SuiteReport:
     """Disk norm never beats the circle-sup norm on analytic functions."""
-    psis = tuple(psis) if psis is not None else _default_psis()
+    psis = tuple(psis) if psis is not None else (
+        PowerFunction(2), ExpLogSquared(), build_counterexample(4),
+    )
     rng = np.random.default_rng(seed)
     corpus = [make_monomial(5), make_polynomial([2.5]), make_kernel_squared(1.0 / 32.0)]
     corpus += _random_polynomials(rng, n_random, max_degree)
@@ -166,12 +162,10 @@ def suite_contraction(psis=None, n_random: int = 50, max_degree: int = 20,
             h_val, b_val = h_vals[i], b_vals[i]
             extra = {"psi": psi.label, "f": f.label}
             if not (h_val.converged and b_val.converged):
-                checks.append(CheckRecord(
-                    description=f"{f.label} under {psi.label}",
-                    statement="disk norm <= circle-sup norm",
-                    lhs=b_val.value, rhs=h_val.value, relation="<=",
-                    margin=-math.inf, passed=False,
-                    extra=dict(extra, failure="norm did not converge"),
+                checks.append(_check(
+                    f"{f.label} under {psi.label}", "disk norm <= circle-sup norm",
+                    b_val.value, h_val.value, "<=", extra=extra,
+                    failure="norm did not converge",
                 ))
                 continue
             checks.append(_check(
@@ -195,7 +189,7 @@ def carleson_window_area(h: float) -> float:
     """Normalized area of {z in the disk : |z - xi| < h}, |xi| = 1, via the
     two-circle lens formula; independent of xi by rotation symmetry."""
     if not (0.0 < h <= 2.0):
-        raise ValueError("window size h must lie in (0, 2]")
+        raise ParameterRangeError("window size h must lie in (0, 2]")
     lens = (
         h * h * math.acos(h / 2.0)
         + math.acos(1.0 - h * h / 2.0)
@@ -395,12 +389,11 @@ def suite_kernel_bounds(h_grid=(0.125, 0.03125, 0.0078125), psis=None,
         for psi, b in zip(psis, bergman_norms(family.members[0], psis)):
             bound = 1.0 / (9.0 * psi.inverse(1.0 / (h * h)))
             if not b.converged or "quadrature_unresolved" in b.flags:
-                checks.append(CheckRecord(
-                    description=f"disk norm floor, h={h:g}, {psi.label}",
-                    statement="disk norm of u_j is at least 1/(9 Psi^{-1}(1/h^2))",
-                    lhs=b.value, rhs=bound, relation=">=",
-                    margin=-math.inf, passed=False,
-                    extra={"failure": "norm not converged or quadrature under-resolved"},
+                checks.append(_check(
+                    f"disk norm floor, h={h:g}, {psi.label}",
+                    "disk norm of u_j is at least 1/(9 Psi^{-1}(1/h^2))",
+                    b.value, bound, ">=",
+                    failure="norm not converged or quadrature under-resolved",
                 ))
                 continue
             checks.append(_check(
@@ -423,10 +416,11 @@ def suite_kernel_bounds(h_grid=(0.125, 0.03125, 0.0078125), psis=None,
 # -- evaluation bounds ------------------------------------------------------------
 
 
-def suite_evaluation_bounds(psi: OrliczFunction, x_values=(10.0, 56.0),
+def suite_evaluation_bounds(psi: OrliczFunction | None = None, x_values=(10.0, 56.0),
                             seed: int = DEFAULT_SEED) -> SuiteReport:
     """Point evaluations on the unit ball of the circle space are pinched
     between Psi^{-1}(1/(1-|z|))/4 and 4 Psi^{-1}(1/(1-|z|))."""
+    psi = psi or PowerFunction(2)
     rng = np.random.default_rng(seed)
     checks = []
     for x_j in x_values:
@@ -680,22 +674,28 @@ def suite_order_boundedness(psis=None) -> SuiteReport:
 # -- battery --------------------------------------------------------------------
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
-    if name == "contraction":
-        return suite_contraction(seed=seed)
-    if name == "carleson":
-        return suite_carleson_window()
-    if name == "monomial":
-        return suite_monomial_decay()
-    if name == "kernel":
-        return suite_kernel_bounds()
-    if name == "evaluation":
-        return suite_evaluation_bounds(PowerFunction(2), seed=seed)
-    if name == "counterexample":
-        return suite_counterexample()
-    if name == "order":
-        return suite_order_boundedness()
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+SUITES = {
+    "contraction": suite_contraction,
+    "carleson": suite_carleson_window,
+    "monomial": suite_monomial_decay,
+    "kernel": suite_kernel_bounds,
+    "evaluation": suite_evaluation_bounds,
+    "counterexample": suite_counterexample,
+    "order": suite_order_boundedness,
+}
+SUITE_NAMES = tuple(SUITES)
+SEEDED_SUITES = ("contraction", "evaluation")  # the suites with a random corpus
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED, **options) -> SuiteReport:
+    """Run the suite ``name`` of ``SUITES``.  ``seed`` reaches the suites in
+    ``SEEDED_SUITES`` only; ``options`` are passed to the suite function as
+    keyword arguments, so an option it does not take raises ``TypeError``."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if name in SEEDED_SUITES:
+        options["seed"] = seed
+    return SUITES[name](**options)
 
 
 def run_all_suites(seed: int = DEFAULT_SEED) -> list[SuiteReport]:

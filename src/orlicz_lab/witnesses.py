@@ -18,6 +18,10 @@ import numpy as np
 from .functions import OrliczFunction
 
 
+class ParameterRangeError(ValueError):
+    """A family or window parameter outside the range it is defined on."""
+
+
 @dataclass(frozen=True)
 class Monomial:
     n: int
@@ -216,7 +220,7 @@ class KernelFamily:
 
 def make_kernel_family(h: float) -> KernelFamily:
     if not (0.0 < h <= 0.125):
-        raise ValueError(f"family parameter h must lie in (0, 1/8], got {h}")
+        raise ParameterRangeError(f"family parameter h must lie in (0, 1/8], got {h}")
     n = int(math.floor(1.0 / h)) + 1
     members = tuple(
         KernelSquared(h, 2.0 * math.pi * j / n) for j in range(n)

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_lab import suites
 from orlicz_lab.classify import classify_injection
 from orlicz_lab.cli import main
 from orlicz_lab.functions import build_counterexample
 from orlicz_lab.grids import GrowthSampleGrid
+from orlicz_lab.suites import DEFAULT_SEED, SUITE_NAMES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -157,10 +159,44 @@ def test_verify_evaluation_follows_the_seed(capsys):
      "--format", "csv"),
     ("verify", "--suite", "counterexample", "--format", "csv"),
     ("report", "--format", "csv"),
-], ids=["classify_seed", "norm_seed", "norm_csv", "verify_csv", "report_csv"])
+    ("norm", "--space", "bergman", "--function", "power:2", "--input", "monomial:3",
+     "--n-theta", "16", "--n-radial", "2"),
+    ("norm", "--space", "hardy", "--function", "power:2", "--input", "const:3",
+     "--n-radial", "2"),
+    ("verify", "--suite", "carleson", "--seed", "3"),
+    ("verify", "--suite", "kernel", "--seed", "3"),
+    ("verify", "--suite", "counterexample", "--seed", "3"),
+], ids=["classify_seed", "norm_seed", "norm_csv", "verify_csv", "report_csv",
+        "norm_bergman_rule", "norm_hardy_n_radial", "verify_carleson_seed",
+        "verify_kernel_seed", "verify_counterexample_seed"])
 def test_options_a_command_would_ignore_are_usage_errors(capsys, argv):
-    # --seed only where a corpus is random, csv only for the classifier
+    # --seed only where a corpus is random, csv only for the classifier, a
+    # rule size only for the disk norm that is computed on it
     assert run_cli(capsys, *argv)[0] == 64
+
+
+UNSEEDED = dict.fromkeys(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    (("verify", "--suite", "all", "--seed", "3"), {**UNSEEDED, "contraction": 3, "evaluation": 3}),
+    (("verify", "--suite", "contraction", "--seed", "3"), {"contraction": 3}),
+    (("verify", "--suite", "all"),
+     {**UNSEEDED, "contraction": DEFAULT_SEED, "evaluation": DEFAULT_SEED}),
+    (("report", "--function", "power:2", "--seed", "3"),
+     {**UNSEEDED, "contraction": 3, "evaluation": 3}),
+], ids=["verify_all", "verify_contraction", "verify_default", "report"])
+def test_the_seed_reaches_the_seeded_suites(monkeypatch, capsys, argv, seeds):
+    # each suite is replaced by one that reports the options it was called with
+    def recorder(name):
+        return lambda **options: suites.SuiteReport(name, options, (), True)
+
+    monkeypatch.setattr(suites, "SUITES", {name: recorder(name) for name in SUITE_NAMES})
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    reports = payload["suites"] if argv[0] == "report" else payload
+    assert {r["suite_name"]: r["config"].get("seed") for r in reports} == seeds
 
 
 def test_report_command(capsys):
@@ -184,6 +220,27 @@ def test_verify_kernel_custom_h(capsys):
 def test_verify_h_flag_guarded(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "monomial", "--h", "0.5")
     assert code == 64
+
+
+@pytest.mark.parametrize("suite, h, message", [
+    ("carleson", "3", "window size h must lie in (0, 2]"),
+    ("kernel", "0", "family parameter h must lie in (0, 1/8], got 0.0"),
+    ("kernel", "nan", "family parameter h must lie in (0, 1/8], got nan"),
+    ("kernel", "0.5", "family parameter h must lie in (0, 1/8], got 0.5"),
+])
+def test_verify_h_outside_the_suite_range_is_a_usage_error(capsys, suite, h, message):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--h", h)
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+def test_verify_h_turns_only_its_refusal_into_a_usage_error(monkeypatch):
+    # a ValueError raised by the suite after it accepted h is not a usage error
+    def fail(*args, **kwargs):
+        raise ValueError("later")
+
+    monkeypatch.setattr(suites, "bergman_norms", fail)
+    with pytest.raises(ValueError, match="later"):
+        main(["verify", "--suite", "kernel", "--h", "0.125"])
 
 
 def test_classify_refuses_a_window_it_would_not_use(capsys):

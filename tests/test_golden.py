@@ -1,7 +1,8 @@
 """SHA-256 digests of reports that must keep every byte.
 
-Each suite report at the default seed, three classifier reports and the
-NormResults of three witnesses are hashed.  A change that means to move
+Each suite report at the default seed, a kernel report that fails a check
+by name, three classifier reports and the NormResults of three witnesses
+are hashed.  A change that means to move
 report bytes updates the digests here and lists each changed output in
 CHANGES.md.
 """
@@ -14,7 +15,7 @@ from orlicz_lab.classify import classify_injection
 from orlicz_lab.domains import disk
 from orlicz_lab.functions import ExpLogSquared, PowerFunction, arg_square, build_counterexample
 from orlicz_lab.norms import bergman_norms, circle_norm, hardy_norms, luxemburg_norms
-from orlicz_lab.suites import SUITE_NAMES, run_suite
+from orlicz_lab.suites import SUITE_NAMES, run_suite, suite_kernel_bounds
 from orlicz_lab.witnesses import make_kernel_squared, make_monomial, make_polynomial
 
 SUITE_DIGESTS = {
@@ -26,6 +27,10 @@ SUITE_DIGESTS = {
     "counterexample": "ad77645c1384f7b20369acc2fb9abd5764bd06c0736efa3a7bfca320b5b0a269",
     "order": "1aa27f6c9d832d678adbdc6b3da1cf803cb8d711deee9650aeb08d71755c8705",
 }
+
+# a suite report with a check failed by name: the counterexample's disk norm
+# of the kernel at h = 1/128 is flagged quadrature_unresolved
+FAILING_KERNEL_DIGEST = "e4fc2bceb4d79c05c1ed1dddaee1d663ce497fa11c793e085d9058c53a4a11ed"
 
 # a dense grid, knot anchors, and a composed piecewise function
 CLASSIFIED = {
@@ -88,6 +93,13 @@ def _sha256(text: str) -> str:
 def test_suite_report_bytes(name):
     got = _sha256(run_suite(name).to_json())
     assert got == SUITE_DIGESTS[name], f"the {name} suite report changed (sha256 {got})"
+
+
+def test_failing_suite_report_bytes():
+    rep = suite_kernel_bounds(h_grid=(1.0 / 128.0,), psis=(build_counterexample(4),))
+    assert not rep.overall_pass
+    got = _sha256(rep.to_json())
+    assert got == FAILING_KERNEL_DIGEST, f"the failing kernel report changed (sha256 {got})"
 
 
 @pytest.mark.parametrize("label", CLASSIFIED)

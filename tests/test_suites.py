@@ -6,8 +6,11 @@ import pytest
 from orlicz_lab.domains import DiskDomain
 from orlicz_lab.functions import ExpLogSquared, PowerFunction, build_counterexample
 from orlicz_lab.suites import (
+    SEEDED_SUITES,
     SUITE_NAMES,
+    SUITES,
     SuiteReport,
+    _check,
     carleson_window_area,
     carleson_window_area_quadrature,
     run_suite,
@@ -49,10 +52,9 @@ def test_suite_carleson_passes():
 def test_suite_monomial_passes():
     rep = suite_monomial_decay()
     assert rep.overall_pass
-    vals = {
-        c.description: c.lhs for c in rep.checks if "disk norm value" in c.description
-    }
-    assert vals["disk norm value of z^255"] if "disk norm value of z^255" in vals else True
+    (last,) = [c for c in rep.checks if c.description == "disk norm value of z^256"]
+    assert last.passed
+    assert last.lhs == pytest.approx(1.0 / math.sqrt(257), abs=1e-8)
 
 
 def test_suite_kernel_passes():
@@ -151,7 +153,42 @@ def test_suite_report_text_render():
 def test_run_suite_names():
     with pytest.raises(ValueError):
         run_suite("nonexistent")
-    assert set(SUITE_NAMES) == {
+    # the table's keys, in battery order
+    assert SUITE_NAMES == tuple(SUITES) == (
         "contraction", "carleson", "monomial", "kernel",
         "evaluation", "counterexample", "order",
-    }
+    )
+
+
+def test_run_suite_passes_options_to_the_suite():
+    psis = (build_counterexample(4),)
+    assert (run_suite("kernel", h_grid=(1 / 128,), psis=psis).to_json()
+            == suite_kernel_bounds(h_grid=(1 / 128,), psis=psis).to_json())
+    assert (run_suite("carleson", h_grid=(0.25,)).to_json()
+            == suite_carleson_window(h_grid=(0.25,)).to_json())
+    # an option the suite does not take is refused, not dropped
+    with pytest.raises(TypeError):
+        run_suite("carleson", psis=(PowerFunction(2),))
+    with pytest.raises(TypeError):
+        run_suite("monomial", h_grid=(0.25,))
+
+
+# small configurations of the slow suites; the seed is what is looked at
+CHEAP = {"contraction": {"n_random": 1}, "carleson": {"h_grid": (0.5,)},
+         "kernel": {"h_grid": (0.125,)}}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_only_the_seeded_suites_take_the_seed(name):
+    config = run_suite(name, seed=5, **CHEAP.get(name, {})).config
+    assert SEEDED_SUITES == ("contraction", "evaluation")
+    assert config.get("seed") == (5 if name in SEEDED_SUITES else None)
+
+
+def test_check_with_a_named_failure_fails():
+    c = _check("d", "s", 1.0, 2.0, "<=", tol=0.5, extra={"a": 1, "b": 2}, failure="x")
+    assert c.margin == -math.inf
+    assert c.passed is False
+    assert list(c.extra) == ["a", "b", "failure"] and c.extra["failure"] == "x"
+    assert (c.lhs, c.rhs, c.relation) == (1.0, 2.0, "<=")
+    assert _check("d", "s", 1.0, 2.0, "<=", failure="x").extra == {"failure": "x"}
