@@ -367,18 +367,17 @@ def check_conjugate_delta2(psi: OrliczFunction, grid: GrowthSampleGrid, *,
 
 
 def _smallest_power_bound(table: _PsiTable):
-    """Smallest tested integer q with evidence that Psi(x) = O(x**q)."""
-    tails = []
+    """Smallest integer q in 1..12 with evidence that Psi(x) = O(x**q): no
+    tail slope of log Psi - q log x above SLOPE_TOL.  That slope is the tail
+    slope of log Psi less q, so one fit per tail decides every q."""
+    slopes = []
     for i, s in enumerate(table.series[1:], 1):
         t0 = _tail_index(len(s))
         if len(s) >= 2:
-            tails.append((s[t0:], table.log_psi[i, 1.0][t0:]))
-    if not tails:
+            slopes.append(_lsq_slope(s[t0:], table.log_psi[i, 1.0][t0:]))
+    if not slopes or not max(slopes) - SLOPE_TOL <= 12:
         return None
-    for q in range(1, 13):
-        if not any(_lsq_slope(tail, vals - q * tail) > SLOPE_TOL for tail, vals in tails):
-            return q
-    return None
+    return max(1, math.ceil(max(slopes) - SLOPE_TOL))
 
 
 # -- verdict assembly ---------------------------------------------------------

@@ -19,13 +19,13 @@ import sys
 import tempfile
 
 from .classify import check_a_points, classify_injection
-from .functions import parse_function_spec
+from .functions import FAMILIES, parse_function_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
 from .records import dumps
 from .domains import disk
 from .suites import DEFAULT_SEED, SEEDED_SUITES, SUITE_NAMES, run_all_suites, run_suite
-from .witnesses import ParameterRangeError, parse_sampled_spec
+from .witnesses import FORMS, ParameterRangeError, parse_sampled_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,66 +37,43 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_shorthand(text: str) -> dict:
-    """name[:value] or name[:k=v,k=v] shorthand for spec documents."""
+def _load_spec(text: str):
+    """The spec document of a --function or --input argument: inline JSON, a
+    JSON file's path, or the shorthand name[:value] or name[:field=value,...]
+    of JSON values.  A bare value fills the entry's first field.  A name in
+    FORMS gets a "form" key, any other a "family" key; "const" is "constant".
+    JSON text is returned as it is, for the spec reader to parse and check.
+    """
+    text = text.strip()
+    if text.startswith("{"):
+        return text
+    if os.path.isfile(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            return fh.read()
     name, _, rest = text.partition(":")
-    spec: dict = {}
-    if rest:
-        parts = [p for p in rest.split(",") if p]
-        for i, part in enumerate(parts):
-            if "=" in part:
-                k, _, v = part.partition("=")
-                spec[k.strip()] = json.loads(v)
-            elif i == 0:
-                spec["_bare"] = json.loads(part)
-            else:
-                raise UsageError(f"cannot parse shorthand argument {part!r}")
-    spec["_name"] = name.strip()
+    name = "constant" if name.strip() == "const" else name.strip()
+    key, table = ("form", FORMS) if name in FORMS else ("family", FAMILIES)
+    spec = {key: name}
+    for part in filter(None, rest.split(",")):
+        field, eq, value = part.partition("=")
+        if not eq:
+            fields = tuple(table[name][1]) if name in table else ()
+            if not fields:
+                raise UsageError(f"{name!r} takes no bare argument")
+            field, value = fields[0], part
+        field = field.strip()
+        if field in spec:
+            raise UsageError(f"shorthand argument {part!r} sets {field!r} again")
+        try:
+            spec[field] = json.loads(value)
+        except json.JSONDecodeError:
+            raise UsageError(f"cannot parse shorthand argument {part!r}") from None
     return spec
 
 
-_BARE_FIELD = {
-    "power": "p",
-    "paper_counterexample": "n_max",
-    "monomial": "n",
-    "constant": "value",
-    "const": "value",
-    "kernel_squared": "h",
-    "scaled_kernel": "x_j",
-}
-
-
-def _load_spec(text: str) -> dict:
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid JSON spec: {exc}") from None
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    short = _parse_shorthand(text)
-    name = short.pop("_name")
-    bare = short.pop("_bare", None)
-    if bare is not None:
-        field = _BARE_FIELD.get(name)
-        if field is None:
-            raise UsageError(f"{name!r} takes no bare argument")
-        short[field] = bare
-    key = "form" if name in (
-        "monomial", "polynomial", "constant", "const", "kernel_squared",
-        "scaled_kernel", "evaluation_envelope",
-    ) else "family"
-    if name == "const":
-        name = "constant"
-    short[key] = name
-    return short
-
-
-def _function_from_arg(text: str):
+def _parse_arg(parse, text: str, **extra):
     try:
-        return parse_function_spec(_load_spec(text))
+        return parse(_load_spec(text), **extra)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -135,7 +112,7 @@ def _csv(rows) -> str:
 
 
 def cmd_classify(args) -> int:
-    psi = _function_from_arg(args.function)
+    psi = _parse_arg(parse_function_spec, args.function)
     kwargs = {}
     if args.a_list:
         kwargs["a_points"] = tuple(float(a) for a in args.a_list.split(","))
@@ -180,11 +157,10 @@ def cmd_classify(args) -> int:
 def cmd_norm(args) -> int:
     if args.space != "disk" and (args.n_theta is not None or args.n_radial is not None):
         raise UsageError("--n-theta and --n-radial apply to --space disk only")
-    psi = _function_from_arg(args.function)
-    try:
-        f = parse_sampled_spec(_load_spec(args.input), psi=psi)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if min((n for n in (args.n_theta, args.n_radial) if n is not None), default=1) < 1:
+        raise UsageError("--n-theta and --n-radial must be at least 1")
+    psi = _parse_arg(parse_function_spec, args.function)
+    f = _parse_arg(parse_sampled_spec, args.input, psi=psi)
     if args.space == "hardy":
         result = hardy_norm(f, psi)
     elif args.space == "bergman":
@@ -233,7 +209,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    psi = _function_from_arg(args.function)
+    psi = _parse_arg(parse_function_spec, args.function)
     grid = GrowthSampleGrid.default_for(psi)
     classification = classify_injection(psi, grid)
     suites = run_all_suites(seed=DEFAULT_SEED if args.seed is None else args.seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -626,55 +627,77 @@ def build_counterexample(n_max: int = 4, r: float = 4.0) -> PiecewiseAffine:
     return _Counterexample(n_max, float(r))
 
 
-# -- JSON function-spec documents -------------------------------------------
+# -- JSON spec documents ------------------------------------------------------
 
-_SPEC_FAMILIES = (
-    "power",
-    "exp_log_squared",
-    "exp_minus_one",
-    "paper_counterexample",
-    "piecewise",
-    "square_compose",
-    "arg_square",
-)
+# the default of a field that every spec of its entry must give
+REQUIRED = object()
 
 
-def parse_function_spec(spec) -> OrliczFunction:
-    """Build an OrliczFunction from a function-spec document.
+def _number(v) -> float:
+    """A JSON number: a bool or a numeric string is refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
 
-    Accepts a dict or a JSON string such as {"family": "power", "p": 2}.
+
+def _integer(v) -> int:
+    """A JSON number with a finite, integral value."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or _number(v).is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _pairs(v) -> list:
+    """A JSON list of [number, number] pairs."""
+    return [(_number(x), _number(y)) for x, y in v]
+
+
+def read_spec(spec, key, table, **extra):
+    """Build what a spec document, a dict or its JSON text, describes.
+
+    ``spec[key]`` names an entry ``(builder, fields)`` of ``table``, and
+    ``fields`` maps each field in order to ``(converter, default)``, where a
+    REQUIRED default must be given.  A missing, unknown or unconvertible field
+    is a ValueError that names it.  The builder takes the converted fields in
+    order and ``extra``, and keeps its own range checks.
     """
     if isinstance(spec, (str, bytes)):
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"function spec is not valid JSON: {exc}") from None
+            raise ValueError(f"spec is not valid JSON: {exc}") from None
     if not isinstance(spec, dict):
-        raise ValueError(f"function spec must be a JSON object, got {type(spec).__name__}")
-    family = spec.get("family")
-    if family == "power":
-        if "p" not in spec:
-            raise ValueError("power family needs a 'p' field")
-        return PowerFunction(float(spec["p"]))
-    if family == "exp_log_squared":
-        return ExpLogSquared()
-    if family == "exp_minus_one":
-        return ExpMinusOne()
-    if family == "paper_counterexample":
-        return build_counterexample(
-            int(spec.get("n_max", 4)), float(spec.get("r", 4.0))
-        )
-    if family == "piecewise":
-        if "knots" not in spec:
-            raise ValueError("piecewise family needs a 'knots' field")
-        return PiecewiseAffine(
-            [(float(x), float(y)) for x, y in spec["knots"]],
-            tail_slope=float(spec["tail_slope"]) if "tail_slope" in spec else None,
-        )
-    if family == "square_compose":
-        return SquareComposed(parse_function_spec(spec.get("inner")))
-    if family == "arg_square":
-        return ArgSquared(parse_function_spec(spec.get("inner")))
-    raise ValueError(
-        f"unknown function family {family!r}; expected one of {_SPEC_FAMILIES}"
-    )
+        raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
+    name = spec.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown function {key} {name!r}; expected one of {tuple(table)}")
+    builder, fields = table[name]
+    for field in spec:
+        if field != key and field not in fields:
+            raise ValueError(f"{name} {key} has no field {field!r}; it takes {tuple(fields)}")
+    values = []
+    for field, (convert, default) in fields.items():
+        if field not in spec and default is REQUIRED:
+            raise ValueError(f"{name} {key} needs a {field!r} field")
+        try:
+            values.append(convert(spec[field]) if field in spec else default)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name} {key} field {field!r}: {exc}") from None
+    return builder(*values, **extra)
+
+
+def parse_function_spec(spec) -> OrliczFunction:
+    """Build an OrliczFunction from a function-spec document, a dict or its
+    JSON text such as {"family": "power", "p": 2}, by its FAMILIES entry."""
+    return read_spec(spec, "family", FAMILIES)
+
+
+FAMILIES = {
+    "power": (PowerFunction, {"p": (_number, REQUIRED)}),
+    "exp_log_squared": (ExpLogSquared, {}),
+    "exp_minus_one": (ExpMinusOne, {}),
+    "paper_counterexample": (build_counterexample, {"n_max": (_integer, 4), "r": (_number, 4.0)}),
+    "piecewise": (PiecewiseAffine, {"knots": (_pairs, REQUIRED), "tail_slope": (_number, None)}),
+    "square_compose": (SquareComposed, {"inner": (parse_function_spec, REQUIRED)}),
+    "arg_square": (ArgSquared, {"inner": (parse_function_spec, REQUIRED)}),
+}

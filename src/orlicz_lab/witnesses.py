@@ -9,13 +9,12 @@ and the radial point-evaluation envelope 4 * Psi^{-1}(1/(1-|z|)).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import OrliczFunction
+from .functions import REQUIRED, OrliczFunction, _integer, _number, _pairs, read_spec
 
 
 class ParameterRangeError(ValueError):
@@ -228,34 +227,33 @@ def make_kernel_family(h: float) -> KernelFamily:
     return KernelFamily(h=h, members=members)
 
 
+def _normalizer(psi, form):
+    if psi is None:
+        raise ValueError(f"{form} needs an Orlicz function for normalization")
+    return psi
+
+
+FORMS = {
+    "monomial": (lambda n, psi: make_monomial(n), {"n": (_integer, REQUIRED)}),
+    "polynomial": (lambda coeffs, psi: make_polynomial(complex(*c) for c in coeffs),
+                   {"coeffs": (_pairs, REQUIRED)}),
+    "constant": (lambda value, psi: make_polynomial([value]), {"value": (_number, REQUIRED)}),
+    "kernel_squared": (lambda h, xi_angle, psi: make_kernel_squared(h, xi_angle),
+                       {"h": (_number, REQUIRED), "xi_angle": (_number, 0.0)}),
+    "scaled_kernel": (
+        lambda x_j, xi_angle, psi: make_scaled_kernel(_normalizer(psi, "scaled_kernel"), x_j,
+                                                      xi_angle),
+        {"x_j": (_number, REQUIRED), "xi_angle": (_number, 0.0)}),
+    "evaluation_envelope": (
+        lambda psi: make_evaluation_envelope(_normalizer(psi, "evaluation_envelope")), {}),
+}
+
+
 def parse_sampled_spec(spec, psi: OrliczFunction | None = None):
-    """Build a sampled function from its JSON document.
+    """Build a sampled function from its JSON document, a dict or its JSON
+    text such as {"form": "monomial", "n": 3}, by its FORMS entry.
 
     scaled_kernel and evaluation_envelope need the Orlicz function used to
     normalize them, passed as ``psi``.
     """
-    if isinstance(spec, (str, bytes)):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"sampled-function spec is not valid JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ValueError("sampled-function spec must be a JSON object")
-    form = spec.get("form")
-    if form == "monomial":
-        return make_monomial(int(spec["n"]))
-    if form == "polynomial":
-        return make_polynomial([complex(re, im) for re, im in spec["coeffs"]])
-    if form == "constant":
-        return make_polynomial([complex(spec["value"])])
-    if form == "kernel_squared":
-        return make_kernel_squared(float(spec["h"]), float(spec.get("xi_angle", 0.0)))
-    if form == "scaled_kernel":
-        if psi is None:
-            raise ValueError("scaled_kernel needs an Orlicz function for normalization")
-        return make_scaled_kernel(psi, float(spec["x_j"]), float(spec.get("xi_angle", 0.0)))
-    if form == "evaluation_envelope":
-        if psi is None:
-            raise ValueError("evaluation_envelope needs an Orlicz function")
-        return make_evaluation_envelope(psi)
-    raise ValueError(f"unknown sampled-function form {form!r}")
+    return read_spec(spec, "form", FORMS, psi=psi)

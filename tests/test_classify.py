@@ -5,9 +5,13 @@ import pytest
 
 from orlicz_lab.classify import (
     CONDITIONS,
+    SLOPE_TOL,
     InjectionReport,
     QuotientEstimate,
+    _lsq_slope,
     _PsiTable,
+    _smallest_power_bound,
+    _tail_index,
     _verdict_from_trends,
     check_condition,
     check_conjugate_delta2,
@@ -215,6 +219,25 @@ def test_summing_bound():
     assert classify_injection(PowerFunction(2)).consequences["summing_bound_q"] == 2
     assert classify_injection(build_counterexample(4)).consequences["summing_bound_q"] == 4
     assert classify_injection(ExpMinusOne()).consequences["summing_bound_q"] is None
+
+
+@pytest.mark.parametrize("psi", [
+    PowerFunction(1), PowerFunction(1.04), PowerFunction(2.97), PowerFunction(3.06),
+    PowerFunction(11.96), PowerFunction(12.04), PowerFunction(12.2), ExpLogSquared(),
+    ExpMinusOne(), build_counterexample(3), build_counterexample(5, 5.5),
+    square_compose(PowerFunction(2.5)), arg_square(PowerFunction(6.03)),
+], ids=lambda psi: psi.label)
+def test_smallest_power_bound_matches_one_fit_per_q(psi):
+    # the reference: for each q, a fit of log Psi - q log x on every tail
+    table = _PsiTable(psi, GrowthSampleGrid.default_for(psi))
+    tails = []
+    for i, s in enumerate(table.series[1:], 1):
+        t0 = _tail_index(len(s))
+        if len(s) >= 2:
+            tails.append((s[t0:], table.log_psi[i, 1.0][t0:]))
+    want = next((q for q in range(1, 13) if not any(
+        _lsq_slope(t, v - q * t) > SLOPE_TOL for t, v in tails)), None)
+    assert _smallest_power_bound(table) == want
 
 
 def test_report_json_round_trip():

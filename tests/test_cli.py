@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,14 @@ import pytest
 
 from orlicz_lab import suites
 from orlicz_lab.classify import classify_injection
-from orlicz_lab.cli import main
-from orlicz_lab.functions import build_counterexample
+from orlicz_lab.cli import _load_spec, main
+from orlicz_lab.functions import FAMILIES, PowerFunction, build_counterexample, parse_function_spec
 from orlicz_lab.grids import GrowthSampleGrid
 from orlicz_lab.suites import DEFAULT_SEED, SUITE_NAMES
+from orlicz_lab.witnesses import FORMS, parse_sampled_spec
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,80 @@ def test_malformed_function_spec(capsys):
     code, _, err = run_cli(capsys, "classify", "--function", '{"family":"wat"}')
     assert code == 64
     assert "unknown function family" in err
+
+
+@pytest.mark.parametrize("option, spec, message", [
+    ("--input", "monomial", "monomial form needs a 'n' field"),
+    ("--input", "monomial:2.5", "monomial form field 'n': expected an integer, got 2.5"),
+    ("--input", "monomial:true", "monomial form field 'n': expected an integer, got True"),
+    ("--input", "polynomial:coeffs=[1]", "polynomial form field 'coeffs': "),
+    ("--function", "power:p=2,q=3", "power family has no field 'q'"),
+    ("--function", "paper_counterexample:4.7",
+     "paper_counterexample family field 'n_max': expected an integer, got 4.7"),
+    ("--function", '{"family":"paper_counterexample","n_max":Infinity}',
+     "paper_counterexample family field 'n_max': expected an integer, got inf"),
+    ("--function", '{"family":"power","p":[2]}', "power family field 'p': expected a number"),
+    ("--function", '{"family":"piecewise","knots":5}', "piecewise family field 'knots': "),
+])
+def test_a_malformed_spec_is_a_usage_error_that_names_the_field(capsys, option, spec, message):
+    # the malformed spec overrides the valid one given first
+    code, out, err = run_cli(capsys, "norm", "--space", "circle", "--function", "power:2",
+                             "--input", "monomial:1", option, spec)
+    assert (code, out) == (64, "") and err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--function", "exp_minus_one:3"), "'exp_minus_one' takes no bare argument"),
+    (("--function", "power"), "power family needs a 'p' field"),
+    (("--function", "power:2,p=3"), "shorthand argument 'p=3' sets 'p' again"),
+    (("--function", "power:family=exp_minus_one"),
+     "shorthand argument 'family=exp_minus_one' sets 'family' again"),
+    (("--function", "power:p=two"), "cannot parse shorthand argument 'p=two'"),
+    (("--input", "const:3,4"), "shorthand argument '4' sets 'value' again"),
+    (("--n-theta", "0"), "--n-theta and --n-radial must be at least 1"),
+    (("--n-radial", "0"), "--n-theta and --n-radial must be at least 1"),
+    (("--n-theta", "-4"), "--n-theta and --n-radial must be at least 1"),
+])
+def test_norm_usage_errors(capsys, argv, message):
+    # a repeated option overrides the default given first
+    code, out, err = run_cli(capsys, "norm", "--space", "disk", "--function", "power:2",
+                             "--input", "monomial:3", *argv)
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+def test_shorthand_fills_the_first_field_of_its_entry():
+    assert _load_spec("power:2") == {"family": "power", "p": 2}
+    assert _load_spec("const:3") == {"form": "constant", "value": 3}
+    assert _load_spec("paper_counterexample:5,r=4.5") == {
+        "family": "paper_counterexample", "n_max": 5, "r": 4.5}
+    assert _load_spec("kernel_squared:h=0.03125") == {"form": "kernel_squared", "h": 0.03125}
+    assert _load_spec("evaluation_envelope") == {"form": "evaluation_envelope"}
+
+
+README = (ROOT / "README.md").read_text()
+
+
+def test_every_readme_spec_parses():
+    # the JSON spec lines, one per family and form in table order, and the
+    # shorthand and JSON arguments of the command examples
+    docs = re.findall(r"^\{.*\}$", README, flags=re.M)
+    specs = [json.loads(doc) for doc in docs]
+    assert [spec["family"] for spec in specs if "family" in spec] == list(FAMILIES)
+    assert [spec["form"] for spec in specs if "form" in spec] == list(FORMS)
+    psi = PowerFunction(2)
+    for doc, spec in zip(docs, specs):
+        if "family" in spec:
+            assert parse_function_spec(doc).family == spec["family"]
+        else:
+            parse_sampled_spec(doc, psi=psi)
+    args = re.findall(r"--(function|input) +('[^']*'|\S+)", README)
+    assert len(args) >= 8
+    for option, text in args:
+        spec = _load_spec(text.strip("'"))
+        if option == "function":
+            parse_function_spec(spec)
+        else:
+            parse_sampled_spec(spec, psi=psi)
 
 
 def test_classify_refuses_a_list_missing_standard_factors(capsys):

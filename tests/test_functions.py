@@ -10,6 +10,7 @@ from orlicz_lab.functions import (
     EvaluationOverflow,
     ExpLogSquared,
     ExpMinusOne,
+    FAMILIES,
     PiecewiseAffine,
     PowerFunction,
     arg_square,
@@ -294,19 +295,25 @@ def test_scale_argument_needs_a_finite_positive_factor(c):
         scale_argument(PowerFunction(2), c)
 
 
+ROUND_TRIP_SPECS = {
+    "power": {"family": "power", "p": 2},
+    "exp_log_squared": {"family": "exp_log_squared"},
+    "exp_minus_one": {"family": "exp_minus_one"},
+    "paper_counterexample": {"family": "paper_counterexample", "n_max": 3, "r": 4},
+    "piecewise": {"family": "piecewise", "knots": [[1.0, 2.0], [2.0, 5.0]], "tail_slope": 4.0},
+    "square_compose": {"family": "square_compose", "inner": {"family": "power", "p": 2}},
+    "arg_square": {"family": "arg_square",
+                   "inner": {"family": "paper_counterexample", "n_max": 3, "r": 4}},
+}
+
+
 def test_spec_round_trip():
-    specs = [
-        {"family": "power", "p": 2},
-        {"family": "exp_log_squared"},
-        {"family": "exp_minus_one"},
-        {"family": "paper_counterexample", "n_max": 3, "r": 4},
-        {"family": "piecewise", "knots": [[1.0, 2.0], [2.0, 5.0]], "tail_slope": 4.0},
-        {"family": "square_compose", "inner": {"family": "power", "p": 2}},
-        {"family": "arg_square", "inner": {"family": "paper_counterexample", "n_max": 3, "r": 4}},
-    ]
-    for spec in specs:
-        psi = parse_function_spec(spec)
+    # every family of the table, so that a new family needs a case here
+    for family in FAMILIES:
+        psi = parse_function_spec(ROUND_TRIP_SPECS[family])
+        assert psi.family == family
         again = parse_function_spec(psi.to_spec())
+        assert again.to_spec() == psi.to_spec()
         for x in (0.5, 1.0, 3.0):
             assert psi.eval(x) == pytest.approx(again.eval(x), rel=1e-14)
 
@@ -321,6 +328,41 @@ def test_spec_errors():
     # json.loads reads NaN, and a NaN tail slope would make Psi NaN past the knots
     with pytest.raises(ValueError, match="got nan"):
         parse_function_spec('{"family": "piecewise", "knots": [[4, 16], [8, 48]], "tail_slope": NaN}')
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power", "p": 2, "q": 3}, "power family has no field 'q'"),
+    ({"family": "power"}, "power family needs a 'p' field"),
+    ({"family": "power", "p": [2]}, "power family field 'p': expected a number, got [2]"),
+    ({"family": "power", "p": "2"}, "power family field 'p': expected a number, got '2'"),
+    ({"family": "power", "p": True}, "power family field 'p': expected a number, got True"),
+    ({"family": "paper_counterexample", "n_max": 4.7},
+     "paper_counterexample family field 'n_max': expected an integer, got 4.7"),
+    ('{"family": "paper_counterexample", "n_max": Infinity}',
+     "paper_counterexample family field 'n_max': expected an integer, got inf"),
+    ({"family": "piecewise", "knots": 5}, "piecewise family field 'knots'"),
+    ({"family": "piecewise", "knots": [[4, 16], [8]]}, "piecewise family field 'knots'"),
+    ({"family": "piecewise", "knots": [[4, 16]], "tail_slope": None},
+     "piecewise family field 'tail_slope': expected a number, got None"),
+    ({"family": "square_compose"}, "square_compose family needs a 'inner' field"),
+    ({"family": "arg_square", "inner": {"family": "power"}},
+     "arg_square family field 'inner': power family needs a 'p' field"),
+    ({"family": ["power"]}, "unknown function family ['power']"),
+    ([{"family": "power", "p": 2}], "spec must be a JSON object, got list"),
+])
+def test_spec_refuses_a_malformed_field_by_name(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_function_spec(spec)
+    assert str(info.value).startswith(message)
+
+
+def test_spec_fields_convert_as_before():
+    # an integral float is an integer field, and every number becomes a float
+    psi = parse_function_spec({"family": "paper_counterexample", "n_max": 4.0, "r": 5})
+    assert psi.to_spec() == {"family": "paper_counterexample", "n_max": 4, "r": 5.0}
+    assert type(psi.params["n_max"]) is int and type(psi.params["r"]) is float
+    assert parse_function_spec({"family": "power", "p": 3}).to_spec() == {"family": "power",
+                                                                          "p": 3.0}
 
 
 @settings(max_examples=200, deadline=None)

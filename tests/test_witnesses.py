@@ -9,6 +9,9 @@ from orlicz_lab.domains import BLOCK, DiskDomain, disk
 from orlicz_lab.functions import ExpMinusOne, PowerFunction, build_counterexample
 from orlicz_lab.norms import _samples
 from orlicz_lab.witnesses import (
+    KernelSquared,
+    Monomial,
+    Polynomial,
     make_evaluation_envelope,
     make_kernel_family,
     make_kernel_squared,
@@ -176,3 +179,30 @@ def test_sampled_spec_parsing():
         parse_sampled_spec({"form": "scaled_kernel", "x_j": 56.0})
     with pytest.raises(ValueError):
         parse_sampled_spec({"form": "nope"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"form": "monomial"}, "monomial form needs a 'n' field"),
+    ({"form": "monomial", "n": 2.5}, "monomial form field 'n': expected an integer, got 2.5"),
+    ({"form": "monomial", "n": True}, "monomial form field 'n': expected an integer, got True"),
+    ({"form": "monomial", "n": "3"}, "monomial form field 'n': expected a number, got '3'"),
+    ({"form": "monomial", "n": 3, "m": 1}, "monomial form has no field 'm'"),
+    ({"form": "polynomial", "coeffs": [1]}, "polynomial form field 'coeffs'"),
+    ({"form": "constant", "value": "1+2j"}, "constant form field 'value': expected a number"),
+    ({"form": "kernel_squared", "xi_angle": 0.0}, "kernel_squared form needs a 'h' field"),
+    ({"form": "scaled_kernel"}, "scaled_kernel form needs a 'x_j' field"),
+    ({"form": "evaluation_envelope", "psi": 2}, "evaluation_envelope form has no field 'psi'"),
+])
+def test_sampled_spec_refuses_a_malformed_field_by_name(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_sampled_spec(spec, psi=PowerFunction(2))
+    assert str(info.value).startswith(message)
+
+
+def test_sampled_spec_fields_convert_as_before():
+    # integral floats are integers, and every number is a float or a complex
+    assert parse_sampled_spec({"form": "monomial", "n": 3.0}) == Monomial(3)
+    p = parse_sampled_spec('{"form": "polynomial", "coeffs": [[1, 2], [0.5, 0]]}')
+    assert p == Polynomial((1 + 2j, 0.5 + 0j))
+    assert parse_sampled_spec({"form": "kernel_squared", "h": 0.25}) == KernelSquared(0.25, 0.0)
+    assert parse_sampled_spec({"form": "constant", "value": 3}) == Polynomial((3 + 0j,))
