@@ -19,30 +19,33 @@ import sys
 import tempfile
 
 from .classify import check_a_points, classify_injection
-from .functions import FAMILIES, parse_function_spec
+from .functions import FAMILIES, read_spec
 from .grids import GrowthSampleGrid
 from .norms import bergman_norm, circle_norm, hardy_norm, luxemburg_norm
 from .records import dumps
 from .domains import disk
 from .suites import DEFAULT_SEED, SEEDED_SUITES, SUITE_NAMES, run_all_suites, run_suite
-from .witnesses import FORMS, ParameterRangeError, parse_sampled_spec
+from .witnesses import FORMS, ParameterRangeError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
+# the spec key of a --function and an --input argument: its table and entry kind
+_TABLES = {"family": (FAMILIES, "function family"), "form": (FORMS, "sampled-function form")}
+
 
 class UsageError(ValueError):
     pass
 
 
-def _load_spec(text: str):
+def _load_spec(text: str, key: str):
     """The spec document of a --function or --input argument: inline JSON, a
     JSON file's path, or the shorthand name[:value] or name[:field=value,...]
-    of JSON values.  A bare value fills the entry's first field.  A name in
-    FORMS gets a "form" key, any other a "family" key; "const" is "constant".
-    JSON text is returned as it is, for the spec reader to parse and check.
+    of JSON values, split at the commas outside brackets and braces.  A bare
+    value fills the entry's first field; "const" is "constant".  JSON text is
+    returned as it is, for the spec reader to parse and check.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -52,9 +55,16 @@ def _load_spec(text: str):
             return fh.read()
     name, _, rest = text.partition(":")
     name = "constant" if name.strip() == "const" else name.strip()
-    key, table = ("form", FORMS) if name in FORMS else ("family", FAMILIES)
-    spec = {key: name}
-    for part in filter(None, rest.split(",")):
+    (table, what), spec, parts = _TABLES[key], {key: name}, []
+    for entries, kind in _TABLES.values():
+        if name in entries and name not in table:
+            raise UsageError(f"{name!r} is a {kind}, not a {what}")
+    for piece in rest.split(","):  # rejoin a value split at a comma inside brackets
+        if parts and sum(map(parts[-1].count, "[{")) > sum(map(parts[-1].count, "]}")):
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+    for part in filter(None, parts):
         field, eq, value = part.partition("=")
         if not eq:
             fields = tuple(table[name][1]) if name in table else ()
@@ -71,9 +81,9 @@ def _load_spec(text: str):
     return spec
 
 
-def _parse_arg(parse, text: str, **extra):
+def _parse_arg(text: str, key: str, **extra):
     try:
-        return parse(_load_spec(text), **extra)
+        return read_spec(_load_spec(text, key), key, _TABLES[key][0], **extra)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -112,17 +122,12 @@ def _csv(rows) -> str:
 
 
 def cmd_classify(args) -> int:
-    psi = _parse_arg(parse_function_spec, args.function)
-    kwargs = {}
-    if args.a_list:
-        kwargs["a_points"] = tuple(float(a) for a in args.a_list.split(","))
-    if args.x_lo is not None:
-        kwargs["x_lo"] = args.x_lo
-    if args.x_hi is not None:
-        kwargs["x_hi"] = args.x_hi
-    if args.points is not None:
-        kwargs["n_points"] = args.points
+    psi = _parse_arg(args.function, "family")
+    kwargs = {k: v for k, v in (("x_lo", args.x_lo), ("x_hi", args.x_hi),
+                                ("n_points", args.points)) if v is not None}
     try:
+        if args.a_list:
+            kwargs["a_points"] = tuple(float(a) for a in args.a_list.split(","))
         grid = GrowthSampleGrid.default_for(psi, **kwargs)
         check_a_points(grid.a_points)
     except ValueError as exc:
@@ -159,8 +164,8 @@ def cmd_norm(args) -> int:
         raise UsageError("--n-theta and --n-radial apply to --space disk only")
     if min((n for n in (args.n_theta, args.n_radial) if n is not None), default=1) < 1:
         raise UsageError("--n-theta and --n-radial must be at least 1")
-    psi = _parse_arg(parse_function_spec, args.function)
-    f = _parse_arg(parse_sampled_spec, args.input, psi=psi)
+    psi = _parse_arg(args.function, "family")
+    f = _parse_arg(args.input, "form", psi=psi)
     if args.space == "hardy":
         result = hardy_norm(f, psi)
     elif args.space == "bergman":
@@ -209,7 +214,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    psi = _parse_arg(parse_function_spec, args.function)
+    psi = _parse_arg(args.function, "family")
     grid = GrowthSampleGrid.default_for(psi)
     classification = classify_injection(psi, grid)
     suites = run_all_suites(seed=DEFAULT_SEED if args.seed is None else args.seed)

@@ -7,9 +7,9 @@ radial weights, and a circle rule is the product with the one radius 1 of
 weight 1.  Kernel-shaped integrands concentrate on an h-window near the
 boundary, so dedicated constructors refine both the radial rule near r = 1
 and the angular rule near the peak angle; without that refinement a fixed
-global rule underestimates their norms.  Each constructor records how its
-coarser and finer rules are built, so half_resolution and refine need no
-dispatch on the rule's kind.
+global rule underestimates their norms.  Each constructor records its own
+arguments, which describe() reports, and how its coarser and finer rules are
+built, so half_resolution and refine need no dispatch on the rule's kind.
 """
 
 from __future__ import annotations
@@ -74,23 +74,22 @@ class _PolarRule:
     # the recipe of the derived rules (see _derive); a rule built directly
     # has none
     _build = _finer = None
-    _args = _coarser = ()
+    _params, _coarser = {}, ()
 
-    def __init__(self, r, r_weights, theta, theta_weights, params: dict):
+    def __init__(self, r, r_weights, theta, theta_weights):
         self.r = np.asarray(r, dtype=float)
         self.r_weights = np.asarray(r_weights, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
         self.theta_weights = np.asarray(theta_weights, dtype=float)
-        self._params = params
         total = float(np.sum(self.r_weights) * np.sum(self.theta_weights))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"{self.kind} weights sum to {total!r}, expected 1")
 
-    def _derive(self, build, args, coarser, finer):
-        """Records that build(*args) made this rule, build(*coarser) makes its
-        half-resolution companion and build(*finer(level)) its refinement by
-        level; returns the rule."""
-        self._build, self._args, self._coarser, self._finer = build, args, coarser, finer
+    def _derive(self, build, params, coarser, finer):
+        """Records that build(**params) made this rule, build(*coarser) makes
+        its half-resolution companion and build(*finer(level)) its refinement
+        by level; returns the rule."""
+        self._build, self._params, self._coarser, self._finer = build, params, coarser, finer
         return self
 
     def nodes(self, rows=slice(None)) -> np.ndarray:
@@ -119,7 +118,7 @@ class _PolarRule:
     def half_resolution(self):
         """The coarser companion rule; ValueError when the recipe gives back
         this rule's own parameters (at its floors)."""
-        if self._coarser == self._args:
+        if self._coarser == tuple(self._params.values()):
             raise ValueError(f"the rule {self.describe()} has no coarser companion")
         return self._build(*self._coarser)
 
@@ -130,7 +129,8 @@ class _PolarRule:
         return self._build(*self._finer(level))
 
     def describe(self) -> dict:
-        return dict(self._params, kind=self.kind, size=self.size)
+        rule = {"rule": self._build.__name__} if self._build else {}
+        return {**rule, **self._params, "kind": self.kind, "size": self.size}
 
 
 class CircleDomain(_PolarRule):
@@ -139,29 +139,28 @@ class CircleDomain(_PolarRule):
 
     kind = "circle"
 
-    def __init__(self, theta: np.ndarray, weights: np.ndarray, params: dict):
-        super().__init__([1.0], [1.0], theta, weights, params)
+    def __init__(self, theta: np.ndarray, weights: np.ndarray):
+        super().__init__([1.0], [1.0], theta, weights)
         self.weights = self.theta_weights
 
     @classmethod
     def uniform(cls, n_theta: int = 512) -> "CircleDomain":
-        return cls(*_uniform_angles(n_theta), {"rule": "uniform", "n_theta": n_theta})._derive(
-            cls.uniform, (n_theta,), (max(n_theta // 2, 16),), lambda k: (n_theta * 2**k,))
+        return cls(*_uniform_angles(n_theta))._derive(
+            cls.uniform, dict(n_theta=n_theta), (max(n_theta // 2, 16),),
+            lambda k: (n_theta * 2**k,))
 
     @classmethod
     def refined(cls, focus_angle: float, scale: float, n_coarse: int = 256,
                 levels: int = 10, nodes_per_panel: int = 16) -> "CircleDomain":
         """Composite rule resolving a peak of angular width ~scale at
         focus_angle; the rest of the circle is covered by coarse panels."""
-        args = (focus_angle, scale, n_coarse, levels, nodes_per_panel)
-        return cls(*_refined_angles(*args), {
-            "rule": "refined", "focus_angle": focus_angle, "scale": scale,
-            "n_coarse": n_coarse, "levels": levels, "nodes_per_panel": nodes_per_panel,
-        })._derive(cls.refined, args,
-                   (focus_angle, scale, max(n_coarse // 2, 64), max(levels - 2, 4),
-                    max(nodes_per_panel // 2, 6)),
-                   lambda k: (focus_angle, scale, n_coarse * 2**k, levels + 2 * k,
-                              nodes_per_panel))
+        params = dict(focus_angle=focus_angle, scale=scale, n_coarse=n_coarse, levels=levels,
+                      nodes_per_panel=nodes_per_panel)
+        return cls(*_refined_angles(**params))._derive(
+            cls.refined, params,
+            (focus_angle, scale, max(n_coarse // 2, 64), max(levels - 2, 4),
+             max(nodes_per_panel // 2, 6)),
+            lambda k: (focus_angle, scale, n_coarse * 2**k, levels + 2 * k, nodes_per_panel))
 
 
 class DiskDomain(_PolarRule):
@@ -172,11 +171,10 @@ class DiskDomain(_PolarRule):
     @classmethod
     def polar(cls, n_theta: int = 512, n_radial: int = 128) -> "DiskDomain":
         r, wr = gauss_legendre(n_radial, 0.0, 1.0)
-        return cls(r, 2.0 * r * wr, *_uniform_angles(n_theta), {
-            "rule": "polar", "n_theta": n_theta, "n_radial": n_radial,
-        })._derive(cls.polar, (n_theta, n_radial),
-                   (max(n_theta // 2, 16), max(n_radial // 2, 8)),
-                   lambda k: (n_theta * 2**k, n_radial * 2**k))
+        return cls(r, 2.0 * r * wr, *_uniform_angles(n_theta))._derive(
+            cls.polar, dict(n_theta=n_theta, n_radial=n_radial),
+            (max(n_theta // 2, 16), max(n_radial // 2, 8)),
+            lambda k: (n_theta * 2**k, n_radial * 2**k))
 
     @classmethod
     def kernel_refined(cls, scale: float, focus_angle: float = 0.0,
@@ -195,12 +193,11 @@ class DiskDomain(_PolarRule):
             r0, w0 = gauss_legendre(n_radial_base, 0.0, split)
             r, wr = np.concatenate([r0, r]), np.concatenate([w0, wr])
         theta, wt = _refined_angles(focus_angle, h, 256, 12, nodes_per_panel)
-        return cls(r, 2.0 * r * wr, theta, wt, {
-            "rule": "kernel_refined", "scale": h, "focus_angle": focus_angle,
-            "n_radial_base": n_radial_base, "nodes_per_panel": nodes_per_panel,
-        })._derive(cls.kernel_refined, (h, focus_angle, n_radial_base, nodes_per_panel),
-                   (h, focus_angle, max(n_radial_base // 2, 16), max(nodes_per_panel // 2, 8)),
-                   lambda k: (h, focus_angle, n_radial_base * 2**k, nodes_per_panel + 8 * k))
+        return cls(r, 2.0 * r * wr, theta, wt)._derive(
+            cls.kernel_refined, dict(scale=h, focus_angle=focus_angle,
+                                     n_radial_base=n_radial_base, nodes_per_panel=nodes_per_panel),
+            (h, focus_angle, max(n_radial_base // 2, 16), max(nodes_per_panel // 2, 8)),
+            lambda k: (h, focus_angle, n_radial_base * 2**k, nodes_per_panel + 8 * k))
 
     @classmethod
     def boundary_refined(cls, k_max: int = 40, nodes_per_panel: int = 24,
@@ -216,12 +213,11 @@ class DiskDomain(_PolarRule):
         edges = [1.0 - 2.0**-k for k in range(1, k_max + 1)] + [1.0]
         rp, wp = _panel_chain(edges, nodes_per_panel)
         r, wr = np.concatenate([r0, rp]), np.concatenate([w0, wp])
-        return cls(r, 2.0 * r * wr, *_uniform_angles(n_theta), {
-            "rule": "boundary_refined", "k_max": k_max,
-            "nodes_per_panel": nodes_per_panel, "n_theta": n_theta,
-        })._derive(cls.boundary_refined, (k_max, nodes_per_panel, n_theta),
-                   (max(k_max - 8, 8), max(nodes_per_panel // 2, 6), max(n_theta // 2, 16)),
-                   lambda k: (k_max + 10 * k, nodes_per_panel, n_theta))
+        return cls(r, 2.0 * r * wr, *_uniform_angles(n_theta))._derive(
+            cls.boundary_refined, dict(k_max=k_max, nodes_per_panel=nodes_per_panel,
+                                       n_theta=n_theta),
+            (max(k_max - 8, 8), max(nodes_per_panel // 2, 6), max(n_theta // 2, 16)),
+            lambda k: (k_max + 10 * k, nodes_per_panel, n_theta))
 
     def weights(self) -> np.ndarray:
         return self._weights()

@@ -182,7 +182,15 @@ class OrliczFunction:
     # -- serialization ------------------------------------------------------
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        """The spec document of this function: its family, then each field of
+        its FAMILIES entry in order, read from the attribute of that name."""
+        if self.family not in FAMILIES:
+            raise NotImplementedError(f"{self.label} has no spec: no family {self.family!r}")
+        spec = {"family": self.family}
+        for field in FAMILIES[self.family][1]:
+            value = getattr(self, field)
+            spec[field] = value.to_spec() if isinstance(value, OrliczFunction) else value
+        return spec
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -216,9 +224,6 @@ class PowerFunction(OrliczFunction):
     def label(self):
         return f"power(p={self.p:g})"
 
-    def to_spec(self):
-        return {"family": "power", "p": self.p}
-
 
 class ExpLogSquared(OrliczFunction):
     """Psi(x) = exp([log(x + 1)]**2) - 1.
@@ -246,9 +251,6 @@ class ExpLogSquared(OrliczFunction):
             out = np.where(ly < _LOG_X_TINY, 0.5 * ly, out)
         return float(out) if np.ndim(out) == 0 else out
 
-    def to_spec(self):
-        return {"family": "exp_log_squared"}
-
 
 class ExpMinusOne(OrliczFunction):
     """Psi(x) = exp(x) - 1, a specimen that grows too fast for the embedding
@@ -270,9 +272,6 @@ class ExpMinusOne(OrliczFunction):
         if ly.size and ly.min() < _LOG_X_TINY:  # log Psi^-1(y) = log y + O(y)
             out = np.where(ly < _LOG_X_TINY, ly, out)
         return float(out) if np.ndim(out) == 0 else out
-
-    def to_spec(self):
-        return {"family": "exp_minus_one"}
 
 
 class PiecewiseAffine(OrliczFunction):
@@ -404,12 +403,10 @@ class PiecewiseAffine(OrliczFunction):
     def label(self):
         return f"piecewise({len(self.xs)} knots)"
 
-    def to_spec(self):
-        return {
-            "family": "piecewise",
-            "knots": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
-            "tail_slope": self.tail_slope,
-        }
+    @property
+    def knots(self) -> list:
+        """The knots as fresh [[x, y], ...] lists of floats."""
+        return np.column_stack((self.xs, self.ys)).tolist()
 
 
 class _Counterexample(PiecewiseAffine):
@@ -436,7 +433,7 @@ class _Counterexample(PiecewiseAffine):
                 lx = math.log(float(x))
                 knots += [(float(x), math.exp(0.5 * r * lx)), (float(2 * x), math.exp(r * lx))]
         super().__init__(knots)
-        self.params = {"n_max": n_max, "r": r}
+        self.n_max, self.r = n_max, r
         self.domain_hint = (4.0, float(xs_int[-1]))
         lx = np.array([math.log(float(x)) for x in xs_int])
         self.log_xs[0::2], self.log_xs[1::2] = lx, [math.log(float(2 * x)) for x in xs_int]
@@ -450,10 +447,7 @@ class _Counterexample(PiecewiseAffine):
 
     @property
     def label(self):
-        return f"paper_counterexample(n_max={self.params['n_max']}, r={self.params['r']:g})"
-
-    def to_spec(self):
-        return {"family": self.family, **self.params}
+        return f"paper_counterexample(n_max={self.n_max}, r={self.r:g})"
 
 
 def _sample_convexity_check(fn: OrliczFunction, lo: float, hi: float, n: int = 200):
@@ -492,9 +486,6 @@ class _Composed(OrliczFunction):
     @property
     def label(self):
         return f"{self.family}({self.inner.label})"
-
-    def to_spec(self):
-        return {"family": self.family, "inner": self.inner.to_spec()}
 
 
 class SquareComposed(_Composed):
@@ -570,9 +561,6 @@ class ScaledArgument(_Composed):
     @property
     def label(self):
         return f"{self.inner.label} scaled by {self.c:g}"
-
-    def to_spec(self):
-        raise NotImplementedError("scaled-argument views are not serializable")
 
 
 def square_compose(psi: OrliczFunction) -> SquareComposed:

@@ -11,16 +11,14 @@ Every JSON document the package writes goes through ``dumps``: the bytes
 of ``json.dumps(value, indent=2)``, written as a list of pieces joined
 once.  A table of finite floats (a list or tuple of lists or tuples of one
 width: ``ratio_log``, the witnesses) is one piece, written from one
-``repr`` pass over its cells.  Other tables (int, bool or None cells,
-ragged rows, a nan or an infinity, still written ``NaN`` and ``Infinity``)
-take one compact ``json.dumps`` call and are re-indented; the rest is
-walked.
+``repr`` pass over its cells.  Everything else, other tables included (int,
+bool or None cells, ragged rows, a nan or an infinity, still written ``NaN``
+and ``Infinity``), is walked element by element.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from dataclasses import MISSING, fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _string
@@ -78,26 +76,18 @@ def _write(value, pad, out):
 
 
 def _table_body(rows, inner):
-    """A table's rows as indented JSON without the outer brackets, or None
-    when they must be walked element-wise."""
+    """A table of finite floats as indented JSON rows without the outer
+    brackets, or None when it must be walked element-wise."""
     row = inner + "  "
-    widths = set(map(len, rows))
-    if 0 in widths:
+    if len(widths := set(map(len, rows))) != 1 or 0 in widths:
         return None
-    body = "n"
-    if len(widths) == 1:
-        with suppress(TypeError):  # an int, bool, None, str or nested cell
-            body = (inner + "]," + inner + "[" + row).join(map(("," + row).join, zip(
-                *[map(_repr, chain.from_iterable(rows))] * len(rows[0]))))
-    # a finite float's repr has no "n"; nan, inf and -inf go the compact way
-    if "n" in body:
-        flat = json.dumps(rows)
-        # no strings (nor dict keys) and no list inside a row: every ", " and
-        # "], [" is structure, and an empty {} is written alike either way
-        if '"' in flat or flat.count("[") != len(rows) + 1:
-            return None
-        body = flat[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
-    return body
+    try:
+        body = (inner + "]," + inner + "[" + row).join(map(("," + row).join, zip(
+            *[map(_repr, chain.from_iterable(rows))] * len(rows[0]))))
+    except TypeError:  # an int, bool, None, str or nested cell
+        return None
+    # a finite float's repr has no "n"; nan, inf and -inf are walked
+    return None if "n" in body else body
 
 
 def _tuples(value):

@@ -14,6 +14,7 @@ are the suite function's own keyword arguments.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -481,8 +482,7 @@ def suite_counterexample(psi_counter=None) -> SuiteReport:
     psi = psi_counter or build_counterexample(4)
     if psi.family != "paper_counterexample":
         raise ValueError("this suite needs a counterexample build")
-    n_max = int(psi.params["n_max"])
-    r = float(psi.params["r"])
+    n_max, r = int(psi.n_max), float(psi.r)
     xs = counterexample_knot_points(n_max)
     checks = []
 
@@ -684,7 +684,8 @@ SUITES = {
     "order": suite_order_boundedness,
 }
 SUITE_NAMES = tuple(SUITES)
-SEEDED_SUITES = ("contraction", "evaluation")  # the suites with a random corpus
+# the suites with a random corpus
+SEEDED_SUITES = tuple(n for n, fn in SUITES.items() if "seed" in inspect.signature(fn).parameters)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, **options) -> SuiteReport:

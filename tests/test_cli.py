@@ -154,12 +154,42 @@ def test_norm_usage_errors(capsys, argv, message):
 
 
 def test_shorthand_fills_the_first_field_of_its_entry():
-    assert _load_spec("power:2") == {"family": "power", "p": 2}
-    assert _load_spec("const:3") == {"form": "constant", "value": 3}
-    assert _load_spec("paper_counterexample:5,r=4.5") == {
+    assert _load_spec("power:2", "family") == {"family": "power", "p": 2}
+    assert _load_spec("const:3", "form") == {"form": "constant", "value": 3}
+    assert _load_spec("paper_counterexample:5,r=4.5", "family") == {
         "family": "paper_counterexample", "n_max": 5, "r": 4.5}
-    assert _load_spec("kernel_squared:h=0.03125") == {"form": "kernel_squared", "h": 0.03125}
-    assert _load_spec("evaluation_envelope") == {"form": "evaluation_envelope"}
+    assert _load_spec("kernel_squared:h=0.03125", "form") == {"form": "kernel_squared",
+                                                               "h": 0.03125}
+    assert _load_spec("evaluation_envelope", "form") == {"form": "evaluation_envelope"}
+
+
+@pytest.mark.parametrize("text", ["coeffs=[[1,0],[0,1]]", "[[1,0],[0,1]]", "[[1, 0], [0, 1]]"])
+def test_shorthand_splits_only_at_commas_outside_brackets(capsys, text):
+    assert _load_spec(f"polynomial:{text}", "form") == {"form": "polynomial",
+                                                        "coeffs": [[1, 0], [0, 1]]}
+    outputs = [run_cli(capsys, "norm", "--space", "hardy", "--function", "power:2", "--input",
+                       spec, "--format", "json")
+               for spec in (f"polynomial:{text}", '{"form":"polynomial","coeffs":[[1,0],[0,1]]}')]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert json.loads(outputs[0][1])["value"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--function", "monomial:3"), "'monomial' is a sampled-function form, not a function family"),
+    (("--function", "const:3"), "'constant' is a sampled-function form, not a function family"),
+    (("--input", "power:2"), "'power' is a function family, not a sampled-function form"),
+    (("--input", "paper_counterexample"),
+     "'paper_counterexample' is a function family, not a sampled-function form"),
+])
+def test_a_name_from_the_other_table_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "norm", "--space", "hardy", "--function", "power:2",
+                             "--input", "const:3", *argv)
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+def test_classify_refuses_a_factor_that_is_not_a_number(capsys):
+    code, out, err = run_cli(capsys, "classify", "--function", "power:2", "--a-list", "2,x")
+    assert (code, out) == (64, "") and err.startswith("error: could not convert"), err
 
 
 README = (ROOT / "README.md").read_text()
@@ -181,7 +211,7 @@ def test_every_readme_spec_parses():
     args = re.findall(r"--(function|input) +('[^']*'|\S+)", README)
     assert len(args) >= 8
     for option, text in args:
-        spec = _load_spec(text.strip("'"))
+        spec = _load_spec(text.strip("'"), "family" if option == "function" else "form")
         if option == "function":
             parse_function_spec(spec)
         else:

@@ -104,6 +104,29 @@ def test_half_resolution_and_refine():
         assert sizes == sorted(set(sizes)), (fixed, sizes)
 
 
+# per constructor: the arguments of a rule it builds
+CONSTRUCTORS = [
+    (CircleDomain.uniform, dict(n_theta=64)),
+    (CircleDomain.refined, dict(focus_angle=0.3, scale=0.01, n_coarse=256, levels=10,
+                                nodes_per_panel=16)),
+    (DiskDomain.polar, dict(n_theta=64, n_radial=32)),
+    (DiskDomain.kernel_refined, dict(scale=1.0 / 32.0, focus_angle=0.7, n_radial_base=64,
+                                     nodes_per_panel=24)),
+    (DiskDomain.boundary_refined, dict(k_max=16, nodes_per_panel=12, n_theta=32)),
+]
+
+
+@pytest.mark.parametrize("build, args", CONSTRUCTORS, ids=[b.__name__ for b, _ in CONSTRUCTORS])
+def test_a_rule_describes_the_call_that_built_it(build, args):
+    dom = build(**args)
+    described = dom.describe()
+    assert described == {"rule": build.__name__, **args, "kind": dom.kind, "size": dom.size}
+    assert list(described) == ["rule", *args, "kind", "size"]
+    for derived in (dom.half_resolution(), dom.refine(1), dom.refine(2)):
+        assert list(derived.describe()) == list(described)
+        assert derived.describe()["rule"] == build.__name__
+
+
 @pytest.mark.parametrize("dom", [
     circle(16), disk(16, 8), DiskDomain.boundary_refined(8, 6, 16),
     CircleDomain.refined(0.0, 0.01, 64, 4, 6), DiskDomain.kernel_refined(0.01, 0.0, 16, 8),
@@ -114,7 +137,8 @@ def test_half_resolution_refuses_the_floors_of_the_recipe(dom):
 
 
 def test_a_rule_built_directly_has_no_derived_rules():
-    dom = DiskDomain(np.array([0.5]), np.array([1.0]), np.zeros(1), np.ones(1), {"rule": "direct"})
+    dom = DiskDomain(np.array([0.5]), np.array([1.0]), np.zeros(1), np.ones(1))
+    assert dom.describe() == {"kind": "disk", "size": 1}
     with pytest.raises(ValueError, match="has no coarser companion"):
         dom.half_resolution()
     with pytest.raises(ValueError, match="has no refinement recipe"):

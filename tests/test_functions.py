@@ -318,6 +318,27 @@ def test_spec_round_trip():
             assert psi.eval(x) == pytest.approx(again.eval(x), rel=1e-14)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_to_spec_writes_the_family_then_its_fields_in_order(family):
+    spec = parse_function_spec(ROUND_TRIP_SPECS[family]).to_spec()
+    assert list(spec) == ["family", *FAMILIES[family][1]]
+
+
+def test_a_returned_piecewise_spec_is_a_copy():
+    psi = parse_function_spec(ROUND_TRIP_SPECS["piecewise"])
+    spec = psi.to_spec()
+    spec["knots"][0][1] = 99.0
+    spec["knots"].append([3.0, 9.0])
+    assert psi.to_spec() == ROUND_TRIP_SPECS["piecewise"]
+    assert type(psi.knots[0][0]) is float
+
+
+def test_a_scaled_argument_view_has_no_spec():
+    psi = arg_square(scale_argument(PowerFunction(2), 3.0))
+    with pytest.raises(NotImplementedError, match="no family '_scaled_argument'"):
+        psi.to_spec()
+
+
 def test_spec_errors():
     with pytest.raises(ValueError):
         parse_function_spec("{not json")
@@ -360,7 +381,7 @@ def test_spec_fields_convert_as_before():
     # an integral float is an integer field, and every number becomes a float
     psi = parse_function_spec({"family": "paper_counterexample", "n_max": 4.0, "r": 5})
     assert psi.to_spec() == {"family": "paper_counterexample", "n_max": 4, "r": 5.0}
-    assert type(psi.params["n_max"]) is int and type(psi.params["r"]) is float
+    assert type(psi.n_max) is int and type(psi.r) is float
     assert parse_function_spec({"family": "power", "p": 3}).to_spec() == {"family": "power",
                                                                           "p": 3.0}
 

@@ -720,7 +720,7 @@ def test_blocked_envelope_sampling_still_refuses_the_boundary():
     # the radius-1 row sits in the last of several blocks
     r = np.linspace(0.05, 1.0, 20)
     theta = 2.0 * math.pi * np.arange(4096) / 4096
-    dom = DiskDomain(r, np.full(20, 0.05), theta, np.full(4096, 1.0 / 4096), {"rule": "test"})
+    dom = DiskDomain(r, np.full(20, 0.05), theta, np.full(4096, 1.0 / 4096))
     assert dom.size > 2 * BLOCK
     with pytest.raises(ValueError, match="open disk"):
         _samples(make_evaluation_envelope(P2), dom)
