@@ -97,8 +97,6 @@ class InjectionReport(Record):
 
 
 def _lsq_slope(u: np.ndarray, y: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = len(u)
     if n < 2:
         return 0.0
@@ -233,7 +231,7 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
     ratio = up - 2.0 * table.log_psi[0, 1.0][:n]
     t0 = _tail_index(n)
     slope = _lsq_slope(lx[t0:], ratio[t0:])
-    tail_max = float(np.max(ratio[t0:]))
+    tail_max = float(ratio[t0:].max())
     tail_sup = math.exp(tail_max) if tail_max <= 709.0 else math.inf
     detail = f"dropped {dropped} anchor(s) beyond trusted range" if dropped else ""
     return QuotientEstimate(
@@ -249,15 +247,16 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
 
 
 def _factor_sweep(table, factors, series, floor):
-    """(held, factor, score, witness) for the first factor whose series
-    scores at least ``floor`` on the trusted tail of every subgrid, else for
-    the closest factor; None when no tail has enough points.  ``series(t, up,
+    """(held, factor, score, tail) for the first factor whose series scores
+    at least ``floor`` on the trusted tail of every subgrid, else for the
+    closest factor; None when no tail has enough points.  ``series(t, up,
     base, factor)`` gives a tail's values and score from log Psi at t + log
-    factor (up) and at t (base); the lowest score is kept."""
+    factor (up) and at t (base); the lowest score is kept, with its tail as
+    the arrays (t, values), or () when no score is below inf."""
     closest = None
     for factor in factors:
         held, usable = True, False
-        worst, witness = math.inf, ()
+        worst, tail = math.inf, ()
         for i in range(1, len(table.series)):
             up = table.log_psi[i, factor]
             n = len(up)
@@ -268,15 +267,15 @@ def _factor_sweep(table, factors, series, floor):
             t = table.series[i][t0:n]
             vals, score = series(t, up[t0:], table.log_psi[i, 1.0][t0:n], factor)
             if score < worst:
-                worst, witness = score, tuple(zip(t.tolist(), vals.tolist()))
+                worst, tail = score, (t, vals)
             if score < floor:
                 held = False
         if not usable:
             continue
         if held:
-            return True, factor, worst, witness
+            return True, factor, worst, tail
         if closest is None or worst > closest[2]:
-            closest = (False, factor, worst, witness)
+            closest = (False, factor, worst, tail)
     return closest
 
 
@@ -294,12 +293,12 @@ def _delta1_margin(t, up, base, factor):
     # log Psi(a x) - (log x + log Psi(x)), in this order, so that the reported
     # margins keep their rounding
     vals = up - (t + base)
-    return vals, float(np.min(vals))
+    return vals, float(vals.min())
 
 
 def _conjugate_margin(t, up, base, factor):
     vals = (up - base) - math.log(2.0 * factor)
-    return vals, float(np.min(vals))
+    return vals, float(vals.min())
 
 
 # condition -> (factors, series, floor, factor name, word for a closest factor)
@@ -316,7 +315,8 @@ def _swept_condition(psi, grid, condition, table) -> ConditionEvidence:
     sweep = _factor_sweep(_table_for(psi, grid, table=table), factors, series, floor)
     if sweep is None:
         return ConditionEvidence(condition, "inconclusive", detail="grid too short")
-    held, factor, score, witness = sweep
+    held, factor, score, tail = sweep
+    witness = tuple(zip(*(a.tolist() for a in tail)))
     detail = f"{name}={factor:g}" if name else ""
     if name and not held:
         detail = f"{closest_word} {detail}"

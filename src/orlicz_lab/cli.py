@@ -59,6 +59,8 @@ def _load_spec(text: str, key: str):
     for entries, kind in _TABLES.values():
         if name in entries and name not in table:
             raise UsageError(f"{name!r} is a {kind}, not a {what}")
+    if name not in table:
+        return spec  # the spec reader names the unknown entry
     for piece in rest.split(","):  # rejoin a value split at a comma inside brackets
         if parts and sum(map(parts[-1].count, "[{")) > sum(map(parts[-1].count, "]}")):
             parts[-1] += "," + piece
@@ -67,7 +69,7 @@ def _load_spec(text: str, key: str):
     for part in filter(None, parts):
         field, eq, value = part.partition("=")
         if not eq:
-            fields = tuple(table[name][1]) if name in table else ()
+            fields = tuple(table[name][1])
             if not fields:
                 raise UsageError(f"{name!r} takes no bare argument")
             field, value = fields[0], part

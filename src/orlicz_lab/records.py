@@ -9,27 +9,29 @@ gets the default; one that omits a required field raises KeyError.
 
 Every JSON document the package writes goes through ``dumps``: the bytes
 of ``json.dumps(value, indent=2)``, written as a list of pieces joined
-once.  A table of finite floats (a list or tuple of lists or tuples of one
-width: ``ratio_log``, the witnesses) is one piece, written from one
-``repr`` pass over its cells.  Everything else, other tables included (int,
-bool or None cells, ragged rows, a nan or an infinity, still written ``NaN``
-and ``Infinity``), is walked element by element.
+once.  A table of finite floats of one width (``ratio_log``, the witnesses)
+is one piece: a first column already in the document (the grid abscissae)
+reuses its ``repr`` strings, and the other cells get one ``repr`` each.
+Everything else, other tables included (int, bool or None cells, ragged
+rows, a nan or an infinity, still written ``NaN`` and ``Infinity``), is
+walked element by element.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
+from operator import not_
 
 _repr = float.__repr__
 _ARRAY = (list, tuple)
 
 
 def dumps(value) -> str:
-    """Exactly ``json.dumps(value, indent=2)``, at about the cost of ``repr``.
+    """Exactly ``json.dumps(value, indent=2)``; a repeated first column costs no ``repr``.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder.  Here
     ``str`` keys and values go through its ``encode_basestring_ascii`` and
@@ -37,11 +39,11 @@ def dumps(value) -> str:
     and other scalars go to ``json.dumps``, with its coercions and errors.
     """
     out = []
-    _write(value, "\n", out)
+    _write(value, "\n", out, {})  # the columns' strings are freed before the join
     return "".join(out)
 
 
-def _write(value, pad, out):
+def _write(value, pad, out, columns):
     inner = pad + "  "
     if isinstance(value, dict) and value:
         if not all(map(isinstance, value, repeat(str))):
@@ -51,18 +53,18 @@ def _write(value, pad, out):
         sep = "{" + inner
         for k, v in value.items():
             out.append(sep + _string(k) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, columns)
             sep = "," + inner
         out.append(pad + "}")
     elif isinstance(value, _ARRAY) and value:
-        body = all(map(isinstance, value, repeat(_ARRAY))) and _table_body(value, inner)
+        body = all(map(isinstance, value, repeat(_ARRAY))) and _table_body(value, inner, columns)
         if body:
             out += ("[" + inner + "[" + inner + "  ", body, inner + "]" + pad + "]")
             return
         sep = "[" + inner
         for v in value:
             out.append(sep)
-            _write(v, inner, out)
+            _write(v, inner, out, columns)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, str):
@@ -75,15 +77,23 @@ def _write(value, pad, out):
         out.append(json.dumps(value))
 
 
-def _table_body(rows, inner):
+def _table_body(rows, inner, columns):
     """A table of finite floats as indented JSON rows without the outer
-    brackets, or None when it must be walked element-wise."""
+    brackets, or None when it must be walked element-wise.  ``columns`` maps
+    each first column (abscissae repeat, values rarely do) to its repr strings."""
     row = inner + "  "
     if len(widths := set(map(len, rows))) != 1 or 0 in widths:
         return None
     try:
+        first, *rest = zip(*rows)
+        # 0.0 == -0.0, so the column's zeros are keyed by their reprs too
+        key = (first, *map(_repr, filter(not_, first))) if 0.0 in first else first
+        reprs = columns.get(key)
+        # 1 == 1.0 and True == 1: only a float column reads a float column's strings
+        if reprs is None or not all(map(isinstance, first, repeat(float))):
+            reprs = columns[key] = [*map(_repr, first)]
         body = (inner + "]," + inner + "[" + row).join(map(("," + row).join, zip(
-            *[map(_repr, chain.from_iterable(rows))] * len(rows[0]))))
+            reprs, *(map(_repr, col) for col in rest))))
     except TypeError:  # an int, bool, None, str or nested cell
         return None
     # a finite float's repr has no "n"; nan, inf and -inf are walked

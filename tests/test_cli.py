@@ -145,6 +145,10 @@ def test_a_malformed_spec_is_a_usage_error_that_names_the_field(capsys, option, 
     (("--n-theta", "0"), "--n-theta and --n-radial must be at least 1"),
     (("--n-radial", "0"), "--n-theta and --n-radial must be at least 1"),
     (("--n-theta", "-4"), "--n-theta and --n-radial must be at least 1"),
+    # an unknown name is refused as unknown, whatever follows it
+    (("--function", "foo:3"), f"unknown function family 'foo'; expected one of {tuple(FAMILIES)}"),
+    (("--function", "foo:[1"), f"unknown function family 'foo'; expected one of {tuple(FAMILIES)}"),
+    (("--input", "bar:3"), f"unknown function form 'bar'; expected one of {tuple(FORMS)}"),
 ])
 def test_norm_usage_errors(capsys, argv, message):
     # a repeated option overrides the default given first

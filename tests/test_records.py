@@ -138,6 +138,18 @@ EDGE_CASES += [
     [[1e16, 1e-05], [5e-324, -0.0]], [[-1e16, 1e-300, 2.5e-08, 1.7976931348623157e308]],
 ] + [[[a, 1.0], [2.0, b]] for a, b in ((math.nan, 3.0), (3.0, math.nan), (math.inf, 3.0),
                                      (3.0, math.inf), (-math.inf, 3.0), (3.0, -math.inf))]
+# the column memo: a first column equal to one already written reuses its strings
+EDGE_CASES += [
+    {"a": [[1.5, 2.0], [2.5, 3.0]], "b": [[1.5, 7.0], [2.5, 8.0]], "c": [[9.0, 1.5], [9.5, 2.5]]},
+    {"a": [[0.0, 1.0], [1.0, 2.0]], "b": [[-0.0, 1.0], [1.0, 2.0]]},
+    {"a": [[-0.0, 0.0], [0.0, -0.0]], "b": [[0.0, -0.0], [-0.0, 0.0]], "c": [[-0.0, 0.0]]},
+    {"a": [[1.0, 2.0]], "b": [[1, 2]]}, {"a": [[1.0], [0.0]], "b": [[True], [False]]},
+    {"a": [[1.0], [2.0]], "b": [[1], [2.0]], "c": [[1.0], [2]]},
+    {"a": [[math.nan, 1.0]], "b": [[math.nan, 1.0]]},
+    {"a": [[float("nan"), 1.0]], "b": [[float("nan"), 1.0]], "c": [[2.0, 1.0]]},
+    {"a": [[1.0], [2.0], [3.0]], "b": [[1.0], [2.0]], "c": [[1.0], [2.0], [3.0]]},
+    {"a": [[1.0, 5.0], [2.0, 6.0]], "b": [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]]},
+]
 EDGE_CASES += [pytest.param([[i / 7.0, -i * 1e-3] for i in range(1000)], id="rows1000x2"),
                pytest.param({"a": [(i * 0.5, math.inf if i == 999 else 1.0) for i in range(1000)]},
                             id="rows1000x2-last-inf"),
@@ -185,6 +197,56 @@ _rows = st.one_of(
 ))
 def test_dumps_matches_indented_json_property(value):
     assert dumps(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def _tables_sharing_a_column(draw):
+    """A document of tables that reuse one drawn float column: whole, as a
+    prefix, with the signs of its zeros flipped, or with ints or bools for
+    its integral cells, as either column of a two-column table."""
+    col = draw(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=5))
+    variants = [col, col[:-1] or col, [-x if x == 0 else x for x in col],
+                [int(x) if math.isfinite(x) and x.is_integer() else x for x in col],
+                [bool(x) if x in (0.0, 1.0) else x for x in col]]
+    doc = {}
+    for i in range(draw(st.integers(2, 5))):
+        shared = draw(st.sampled_from(variants))
+        other = draw(st.lists(st.floats(), min_size=len(shared), max_size=len(shared)))
+        pair = (shared, other) if draw(st.booleans()) else (other, shared)
+        doc[f"t{i}"] = [list(row) for row in zip(*pair)]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_sharing_a_column())
+def test_dumps_matches_indented_json_with_shared_columns(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_a_repeated_column_is_written_once(monkeypatch):
+    # the four ratio_log tables of a dense grid share one log_x column, so
+    # at least three of its copies cost no repr call
+    psi = parse_function_spec({"family": "power", "p": 2.5})
+    report = classify_injection(psi, GrowthSampleGrid.default_for(psi))
+    log_x = {tuple(x for x, _ in q.ratio_log) for q in report.q_a_table}
+    assert len(report.q_a_table) == 4 and len(log_x) == 1
+
+    def floats(v):
+        if isinstance(v, dict):
+            return sum(map(floats, v.values()))
+        return sum(map(floats, v)) if isinstance(v, (list, tuple)) else isinstance(v, float)
+
+    calls, real_repr = [0], records._repr
+
+    def counting(x):
+        calls[0] += 1
+        return real_repr(x)
+
+    monkeypatch.setattr(records, "_repr", counting)
+    text = report.to_json()
+    monkeypatch.undo()
+    assert text == json.dumps(report.to_dict(), indent=2)
+    assert calls[0] <= floats(report.to_dict()) - 3 * len(next(iter(log_x)))
 
 
 def test_record_json_is_indented_json(injection, suite, norm):
