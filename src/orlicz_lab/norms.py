@@ -318,8 +318,8 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
     counting, plus a scan for the largest passing c."""
     t_grid = tuple(sorted(float(t) for t in t_grid))
     bad = [v for v in (c, *t_grid) if not v > 0]  # NaN included
-    if bad:
-        raise ValueError(f"c and t_grid must be positive, got {bad[0]!r}")
+    if bad or not t_grid:  # zero rows would pass every check
+        raise ValueError(f"c and t_grid must be positive, got {bad[0]!r}" if bad else "t_grid is empty")
     dom = dom or DiskDomain.boundary_refined()
     av, w = _samples(f, dom)
     peak = float(np.max(av))
@@ -387,6 +387,8 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
         raise ValueError(f"the modular scale c must be positive, got {bad[0]!r}")
     if max(c_grid) / min(c_grid) < 1e4:
         raise ValueError("c_grid should span at least four decades")
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2 (the verdict compares two refinements), got {levels!r}")
     dom = dom or DiskDomain.boundary_refined(k_max=16)
     # the logs of |f| and of the weights are taken once per rule and shared
     # by every c

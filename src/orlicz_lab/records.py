@@ -7,43 +7,43 @@ passed through as they are.  A field named in ``_nested`` holds a tuple of
 records of the given type.  A document that omits a field with a default
 gets the default; one that omits a required field raises KeyError.
 
-Every JSON document the package writes goes through ``dumps``: the bytes
-of ``json.dumps(value, indent=2)``, written as a list of pieces joined
-once.  A table of finite floats of one width (``ratio_log``, the witnesses)
-is one piece: a first column already in the document (the grid abscissae)
-reuses its ``repr`` strings, and the other cells get one ``repr`` each.
-Everything else, other tables included (int, bool or None cells, ragged
-rows, a nan or an infinity, still written ``NaN`` and ``Infinity``), is
-walked element by element.
+Every JSON document the package writes goes through ``dumps``, which gives
+the bytes of ``json.dumps(value, indent=2)``: one orjson call per array of
+numbers (``ratio_log``, the witnesses), respelled as ``float.__repr__``
+spells, and every other value walked into a list of pieces joined once.  As
+in orjson, a plain ``enum.Enum`` in such an array is written by its value.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from operator import not_
 
 _repr = float.__repr__
-_ARRAY = (list, tuple)
+# orjson's 1e16, 1e-7 and 0.000025 are repr's 1e+16, 1e-07 and 2.5e-05 (a
+# positional form for 1e-5 <= |x| < 1e-4); the look-behind skips 10.00001
+_EXPONENT, _BAND = re.compile(r"e(-?)(\d+)"), re.compile(r"0\.0000(?<!\d0\.0000)([1-9])(\d*)")
 
 
 def dumps(value) -> str:
-    """Exactly ``json.dumps(value, indent=2)``; a repeated first column costs no ``repr``.
+    """Exactly ``json.dumps(value, indent=2)``, with one orjson call per array of numbers.
 
-    With an indent, ``json.dumps`` runs its pure-Python encoder.  Here
-    ``str`` keys and values go through its ``encode_basestring_ascii`` and
-    finite floats through ``float.__repr__``; dicts with a non-``str`` key
-    and other scalars go to ``json.dumps``, with its coercions and errors.
+    ``str`` keys and values go through the stdlib's ``encode_basestring_ascii``;
+    dicts with a non-``str`` key, and scalars other than finite floats, go to
+    ``json.dumps``, with its coercions and errors.  One value differs: a plain
+    ``enum.Enum`` member in an array of numbers is written by its value, as
+    orjson does (``[E.A]`` gives ``[1]``), where ``json.dumps`` refuses it.
     """
     out = []
-    _write(value, "\n", out, {})  # the columns' strings are freed before the join
+    _write(value, "\n", out)
     return "".join(out)
 
 
-def _write(value, pad, out, columns):
+def _write(value, pad, out):
     inner = pad + "  "
     if isinstance(value, dict) and value:
         if not all(map(isinstance, value, repeat(str))):
@@ -53,18 +53,19 @@ def _write(value, pad, out, columns):
         sep = "{" + inner
         for k, v in value.items():
             out.append(sep + _string(k) + ": ")
-            _write(v, inner, out, columns)
+            _write(v, inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(value, _ARRAY) and value:
-        body = all(map(isinstance, value, repeat(_ARRAY))) and _table_body(value, inner, columns)
-        if body:
-            out += ("[" + inner + "[" + inner + "  ", body, inner + "]" + pad + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        # a leading str or dict would put a quote or a brace in orjson's text
+        text = None if isinstance(value[0], (str, dict)) else _numbers(value)
+        if text is not None:
+            out.append(text.replace("\n", pad))
             return
         sep = "[" + inner
         for v in value:
             out.append(sep)
-            _write(v, inner, out, columns)
+            _write(v, inner, out)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, str):
@@ -77,27 +78,24 @@ def _write(value, pad, out, columns):
         out.append(json.dumps(value))
 
 
-def _table_body(rows, inner, columns):
-    """A table of finite floats as indented JSON rows without the outer
-    brackets, or None when it must be walked element-wise.  ``columns`` maps
-    each first column (abscissae repeat, values rarely do) to its repr strings."""
-    row = inner + "  "
-    if len(widths := set(map(len, rows))) != 1 or 0 in widths:
-        return None
+def _numbers(array):
+    """``json.dumps(array, indent=2)`` for an array of numbers, bools and
+    arrays, or None for an array to walk element by element."""
+    import orjson  # on first use: a run that writes no array never loads it
+
     try:
-        first, *rest = zip(*rows)
-        # 0.0 == -0.0, so the column's zeros are keyed by their reprs too
-        key = (first, *map(_repr, filter(not_, first))) if 0.0 in first else first
-        reprs = columns.get(key)
-        # 1 == 1.0 and True == 1: only a float column reads a float column's strings
-        if reprs is None or not all(map(isinstance, first, repeat(float))):
-            reprs = columns[key] = [*map(_repr, first)]
-        body = (inner + "]," + inner + "[" + row).join(map(("," + row).join, zip(
-            reprs, *(map(_repr, col) for col in rest))))
-    except TypeError:  # an int, bool, None, str or nested cell
+        text = orjson.dumps(array, option=orjson.OPT_INDENT_2).decode()
+    except TypeError:  # an int past 64 bits, a float subclass, a namedtuple, 255 levels
         return None
-    # a finite float's repr has no "n"; nan, inf and -inf are walked
-    return None if "n" in body else body
+    # a str (orjson leaves non-ASCII unescaped), None, nan or an infinity
+    # (orjson's null is json's NaN) or a dict (its keys' coercion)
+    if '"' in text or "null" in text or "{" in text:
+        return None
+    if "e" in text:
+        text = _EXPONENT.sub(lambda m: "e" + (m[1] or "+") + m[2].zfill(2), text)
+    if "0.0000" in text:
+        text = _BAND.sub(lambda m: m[1] + "." * bool(m[2]) + m[2] + "e-05", text)
+    return text
 
 
 def _tuples(value):

@@ -356,6 +356,25 @@ def test_weak_tail_check_rejects_non_positive_scales(c, t_grid, named):
         weak_tail_check(make_monomial(1), P2, dom=circle(32), c=c, t_grid=t_grid)
 
 
+@pytest.mark.parametrize("levels", [1, 0, -1])
+def test_morse_transue_refuses_fewer_than_two_levels(levels, monkeypatch):
+    # the verdict compares the last two refinement levels; refused before
+    # any rule is sampled, not as an IndexError after
+    def sampled(*args):
+        raise AssertionError("a rule was sampled")
+
+    monkeypatch.setattr(norms, "_samples", sampled)
+    with pytest.raises(ValueError, match=f"levels must be at least 2.*got {levels}"):
+        morse_transue_evidence(make_monomial(3), P2, levels=levels)
+
+
+def test_weak_tail_check_refuses_an_empty_t_grid():
+    # zero rows would report all_pass and large_t_pass
+    for t_grid in ((), []):
+        with pytest.raises(ValueError, match="t_grid is empty"):
+            weak_tail_check(make_monomial(1), P2, dom=circle(32), t_grid=t_grid)
+
+
 def test_morse_transue_modulars_are_the_per_scale_modulars():
     # the logs are taken once per rule; every c's modular is still the one
     # modular_from_values gives on that rule, bit for bit

@@ -2,9 +2,15 @@
 for optional keys, errors for missing required keys, and ``dumps`` writing
 the bytes of ``json.dumps(indent=2)``."""
 
+import datetime
+import enum
 import json
 import math
-from collections import OrderedDict, namedtuple
+import subprocess
+import sys
+import uuid
+from collections import Counter, OrderedDict, namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -127,7 +133,7 @@ EDGE_CASES = [
     [{-0.0: 1, math.inf: 2, math.nan: 3}],
 ]
 Pair = namedtuple("Pair", "x y")
-# the repr path for tables of finite floats, and the tables that must leave it
+# the orjson path for arrays of numbers, and the arrays that must leave it
 EDGE_CASES += [
     [Pair(1.0, 2.0), Pair(3.0, 4.0)], (Pair(1.0, 2.0), [3.0, 4.0]), [Pair(1, 2.0)],
     {"p": Pair(0.5, math.nan)},
@@ -138,7 +144,8 @@ EDGE_CASES += [
     [[1e16, 1e-05], [5e-324, -0.0]], [[-1e16, 1e-300, 2.5e-08, 1.7976931348623157e308]],
 ] + [[[a, 1.0], [2.0, b]] for a, b in ((math.nan, 3.0), (3.0, math.nan), (math.inf, 3.0),
                                      (3.0, math.inf), (-math.inf, 3.0), (3.0, -math.inf))]
-# the column memo: a first column equal to one already written reuses its strings
+# columns repeated across tables and within one, signed zeros, and int or
+# bool columns equal to a float column
 EDGE_CASES += [
     {"a": [[1.5, 2.0], [2.5, 3.0]], "b": [[1.5, 7.0], [2.5, 8.0]], "c": [[9.0, 1.5], [9.5, 2.5]]},
     {"a": [[0.0, 1.0], [1.0, 2.0]], "b": [[-0.0, 1.0], [1.0, 2.0]]},
@@ -150,6 +157,44 @@ EDGE_CASES += [
     {"a": [[1.0], [2.0], [3.0]], "b": [[1.0], [2.0]], "c": [[1.0], [2.0], [3.0]]},
     {"a": [[1.0, 5.0], [2.0, 6.0]], "b": [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]]},
 ]
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 40
+
+
+class Scale(float, enum.Enum):
+    HALF = 0.5
+    BAND = 2.5e-05
+    HUGE = 1e16
+
+
+def _nested(depth, leaf):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+# orjson spells these unlike float.__repr__: the 1e-5 <= |x| < 1e-4 band (on
+# both sides of each end), the scientific threshold, one-digit exponents and
+# the extremes; ints at orjson's 64-bit limits (2**64 is refused and walked),
+# enum cells, and a nesting past orjson's 255 levels
+EDGE_CASES += [
+    [1e-05, -1e-05], [9.999999999999999e-05, -9.999999999999999e-05], [0.0001, -0.0001],
+    [2.5e-05, -2.5e-05], [[9.99999e-06, 1e-05], [1.00001e-05, 10.00001]],
+    [0.00010000000000000002, 1.0000000000000001e-05, 0.000123, 100.00001, -10.000025],
+    [9999999999999998.0, -9999999999999998.0], [1e16, -1e16], [1e22, -1e22], [1.5e16, 1.5e-16],
+    [1e-07, -1e-07], [5e-324, -5e-324], [1.7976931348623157e308, -1.7976931348623157e308],
+    [1e-06, 9e-09, 1.5e-10, 2.2250738585072014e-308, 1e100, 1e-100],
+    [2 ** 63, 2 ** 64 - 1, -2 ** 63], [2 ** 64, 2.5e-05], [[1.0], [-2 ** 63 - 1]],
+    [Level.LOW, Level.HIGH, 3], [[Scale.HALF, Scale.BAND], [Scale.HUGE, 1.0]], (Level.LOW, Scale.BAND),
+    pytest.param(_nested(299, [1.5, 2.5e-05, 1e16, -1e-07]), id="floats-nested-300-deep"),
+    pytest.param(_nested(299, [1.0, math.nan]), id="nan-nested-300-deep"),
+]
+_bits = np.random.default_rng(2025).integers(0, 2 ** 64, size=120_000, dtype=np.uint64).view(np.float64)
+EDGE_CASES += [pytest.param(_bits[np.isfinite(_bits)][:100_000].reshape(-1, 2).tolist(),
+                            id="rows50000x2-random-bit-patterns")]
 EDGE_CASES += [pytest.param([[i / 7.0, -i * 1e-3] for i in range(1000)], id="rows1000x2"),
                pytest.param({"a": [(i * 0.5, math.inf if i == 999 else 1.0) for i in range(1000)]},
                             id="rows1000x2-last-inf"),
@@ -163,9 +208,16 @@ def test_dumps_matches_indented_json(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 
+@dataclass
+class Empty:
+    pass
+
+
 def test_dumps_rejects_what_json_rejects():
+    # orjson writes a dataclass (an empty one as {}), a date and a UUID itself
     for bad in ({(1, 2): 3}, [[1.0, object()]], {"a": [{"b": {1.0, 2.0}}]},
-                [np.array([1.0, 2.0])], [[1.0, np.array([2.0])]]):
+                [np.array([1.0, 2.0])], [[1.0, np.array([2.0])]], [Empty()], [1.0, [Empty()]],
+                [datetime.date(2020, 1, 1)], [uuid.UUID(int=1)]):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
@@ -199,6 +251,21 @@ def test_dumps_matches_indented_json_property(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 
+# weighted toward the values orjson spells unlike repr: the positional band
+# 1e-5 <= |x| < 1e-4, the 1e16 threshold and one-digit negative exponents
+_respelled = st.one_of(st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5), st.floats(1e15, 1e17),
+                       st.floats(1e-10, 1e-6), st.floats(allow_nan=False), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.lists(_respelled, min_size=1, max_size=8),
+                    lambda inner: st.lists(inner, min_size=1, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=8))
+def test_dumps_matches_indented_json_in_orjsons_other_spellings(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
 @st.composite
 def _tables_sharing_a_column(draw):
     """A document of tables that reuse one drawn float column: whole, as a
@@ -223,18 +290,19 @@ def test_dumps_matches_indented_json_with_shared_columns(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 
-def test_a_repeated_column_is_written_once(monkeypatch):
-    # the four ratio_log tables of a dense grid share one log_x column, so
-    # at least three of its copies cost no repr call
+def test_a_classification_table_costs_no_repr_call(monkeypatch):
+    # every table of a dense classification goes through orjson: float.__repr__
+    # writes only the floats that are dict values
     psi = parse_function_spec({"family": "power", "p": 2.5})
     report = classify_injection(psi, GrowthSampleGrid.default_for(psi))
-    log_x = {tuple(x for x, _ in q.ratio_log) for q in report.q_a_table}
-    assert len(report.q_a_table) == 4 and len(log_x) == 1
 
-    def floats(v):
+    def floats(v, in_table=False):
+        """The floats in a table and the floats that are dict values."""
         if isinstance(v, dict):
-            return sum(map(floats, v.values()))
-        return sum(map(floats, v)) if isinstance(v, (list, tuple)) else isinstance(v, float)
+            return sum((floats(x) for x in v.values()), start=Counter())
+        if isinstance(v, (list, tuple)):
+            return sum((floats(x, True) for x in v), start=Counter())
+        return Counter({"table" if in_table else "scalar": isinstance(v, float)})
 
     calls, real_repr = [0], records._repr
 
@@ -242,11 +310,33 @@ def test_a_repeated_column_is_written_once(monkeypatch):
         calls[0] += 1
         return real_repr(x)
 
+    d = report.to_dict()
     monkeypatch.setattr(records, "_repr", counting)
     text = report.to_json()
     monkeypatch.undo()
-    assert text == json.dumps(report.to_dict(), indent=2)
-    assert calls[0] <= floats(report.to_dict()) - 3 * len(next(iter(log_x)))
+    assert text == json.dumps(d, indent=2)
+    counts = floats(d)
+    assert counts["table"] > 4 * 200  # the four ratio_log tables at least
+    assert calls[0] == counts["scalar"]
+
+
+def test_a_plain_enum_in_an_array_is_written_by_its_value():
+    # the one place dumps parts from json.dumps, which refuses a plain Enum
+    class Colour(enum.Enum):
+        RED = 1
+
+    assert dumps({"c": [Colour.RED, 2.5]}) == '{\n  "c": [\n    1,\n    2.5\n  ]\n}'
+    with pytest.raises(TypeError):
+        json.dumps([Colour.RED], indent=2)
+
+
+def test_importing_the_package_leaves_orjson_unloaded():
+    # orjson is loaded by the first array dumps writes, not by the import
+    code = "import sys, orlicz_lab, orlicz_lab.cli; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": records.__file__.rsplit("/orlicz_lab/", 1)[0]})
+    assert out.stdout.strip() == "False"
+    assert dumps([1.0]) and "orjson" in sys.modules
 
 
 def test_record_json_is_indented_json(injection, suite, norm):
@@ -258,8 +348,8 @@ def test_record_json_is_indented_json(injection, suite, norm):
                                   {"family": "paper_counterexample", "n_max": 4}],
                          ids=["power:2.5", "paper_counterexample:4"])
 def test_classification_tables_take_the_repr_path(spec, monkeypatch):
-    # every table of a classification is float-only and of one width; a
-    # list or tuple handed to json.dumps would mean the slow path
+    # every table of a classification is float-only; a list or tuple handed
+    # to json.dumps would mean it was walked, not written by orjson
     psi = parse_function_spec(spec)
     report = classify_injection(psi, GrowthSampleGrid.default_for(psi))
     seen, real_dumps = [], json.dumps
