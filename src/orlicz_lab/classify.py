@@ -8,11 +8,11 @@ become trend classifications; every verdict ships with the witness series
 that produced it and is labeled numerical evidence, never proof.
 
 One classification evaluates Psi once: a single ``eval_log`` call covers
-every abscissa its quotients and condition checks read.  The classification
-passes that table explicitly, as the keyword-only ``table`` argument of each
-check, and each check reads slices of it.  A check called on its own, or
-given a table built for another Psi, grid or A, builds the same table itself,
-so a passed table never changes a result.
+every abscissa its quotients (on the grid) and condition checks (on the
+series the table lists in ``subgrids``) read.  The classification passes that
+table as the keyword-only ``table`` argument of each check.  A check called on
+its own, or given a table built for another Psi, grid or A, builds the same
+table itself, so a passed table never changes a result.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ExtrapolationError, OrliczFunction
-from .grids import DEFAULT_A_POINTS, GrowthSampleGrid
+from .grids import DEFAULT_A_POINTS, GrowthSampleGrid, anchor_window
+from .logdomain import exp_or_inf
 from .records import Record
 
 SLOPE_TOL = 0.05
@@ -124,31 +125,19 @@ def _trend_from_slope(slope: float) -> str:
 
 
 def _subgrids(psi: OrliczFunction, grid: GrowthSampleGrid):
-    """Independent log-x series the condition checks must agree on.
+    """Log-x series besides the grid that the condition checks must agree on.
 
     Anchored functions contribute their primary knots, secondary knots and
-    geometric midpoints; dense grids contribute the grid and its midpoints.
-    A limsup-style bound must hold on every series, a limit-style divergence
-    must show on every series too.
+    geometric midpoints; dense grids contribute their midpoints (the checks
+    read the grid too).  A limsup-style bound must hold on every series, a
+    limit-style divergence must show on every series too.
     """
-    out = []
-    if grid.anchored:
-        primary = np.sort(psi.growth_anchor_logs())
-        hint_hi = math.log(psi.domain_hint[1]) + 1e-12
-        primary = primary[primary <= hint_hi]
-        out.append(("anchors", primary))
-        secondary = np.sort(psi.secondary_anchor_logs())
-        secondary = secondary[secondary <= hint_hi]
-        if len(secondary) >= 2:
-            out.append(("secondary_knots", secondary))
-        mids = 0.5 * (primary[1:] + primary[:-1])
-        if len(mids) >= 2:
-            out.append(("midpoints", mids))
-    else:
-        lx = grid.log_x
-        out.append(("grid", lx))
-        out.append(("midpoints", 0.5 * (lx[1:] + lx[:-1])))
-    return out
+    if not grid.anchored:
+        return [0.5 * (grid.log_x[1:] + grid.log_x[:-1])]
+    primary = anchor_window(psi, psi.growth_anchor_logs())
+    secondary = anchor_window(psi, psi.secondary_anchor_logs())
+    mids = 0.5 * (primary[1:] + primary[:-1])
+    return [primary] + [s for s in (secondary, mids) if len(s) >= 2]
 
 
 SWEEP_FACTORS = (2.0, 4.0, 8.0, 16.0)
@@ -157,36 +146,33 @@ SWEEP_FACTORS = (2.0, 4.0, 8.0, 16.0)
 class _PsiTable:
     """log Psi at every abscissa one classification reads, from one call.
 
-    Series 0 is ``grid.log_x``, the others are the subgrids.  ``log_psi[i, f]``
-    is log Psi on series i shifted by log f, for f = 1 (the whole series), for
-    each A in ``a_points`` (series 0) and each sweep factor (the subgrids).  A
-    series is sorted, so the points whose shift stays in the trusted range
-    form a prefix, and only that prefix is kept.  Psi is evaluated per element,
-    so the values equal those of separate ``eval_log`` calls bit for bit.
+    Series 0 is ``grid.log_x``, the others are the subgrids; the checks read
+    the series in ``subgrids`` (0 onward if dense, 1 onward if anchored).
+    ``log_psi[i, f]`` is log Psi on series i shifted by log f, for f = 1, each
+    A in ``a_points`` (series 0) and each sweep factor (series in ``subgrids``).
+    Each sorted series keeps the prefix whose shift stays in the trusted range.
+    Psi is evaluated per element: the values equal separate ``eval_log`` calls.
     """
 
     def __init__(self, psi: OrliczFunction, grid: GrowthSampleGrid, a_points=()):
         self.psi, self.grid = psi, grid
         self.min_pts = MIN_POINTS_ANCHORED if grid.anchored else MIN_TAIL_POINTS_DENSE
         log_x = grid.log_x
-        self.series = [log_x] + [s for _, s in _subgrids(psi, grid)]
+        self.series = [log_x] + _subgrids(psi, grid)
+        self.subgrids = list(range(int(grid.anchored), len(self.series)))
         tail = log_x[_tail_index(len(log_x)):]
         self.nabla_u = np.linspace(tail[0], tail[-1], 257) if len(tail) >= self.min_pts else tail[:0]
         hi = psi.trusted_log_hi + 1e-12
-        # a dense grid's "grid" subgrid is series 0 itself: each (series,
-        # factor) point set is evaluated once, and its keys share the slice
-        sets, keys = {"nabla": self.nabla_u}, {}
+        sets = {"nabla": self.nabla_u}
         for i, s in enumerate(self.series):
-            for f in dict.fromkeys((1.0,) + (tuple(a_points) if i == 0 else SWEEP_FACTORS)):
-                keys[i, f] = id(s), f
-                if keys[i, f] not in sets:
-                    t = s + math.log(f)
-                    sets[keys[i, f]] = s if f == 1.0 else t[:np.count_nonzero(t <= hi)]
+            swept = SWEEP_FACTORS if i in self.subgrids else ()
+            for f in dict.fromkeys((1.0,) + (tuple(a_points) if i == 0 else ()) + swept):
+                t = s + math.log(f)
+                sets[i, f] = s if f == 1.0 else t[:np.count_nonzero(t <= hi)]
         values = np.asarray(psi.eval_log(np.concatenate(list(sets.values()))))
         ends = np.cumsum([len(t) for t in sets.values()]).tolist()
-        parts = dict(zip(sets, (values[a:b] for a, b in zip([0] + ends, ends))))
-        self.nabla_v = parts["nabla"]
-        self.log_psi = {key: parts[k] for key, k in keys.items()}
+        self.log_psi = dict(zip(sets, (values[a:b] for a, b in zip([0] + ends, ends))))
+        self.nabla_v = self.log_psi.pop("nabla")
 
 
 def _table_for(psi: OrliczFunction, grid: GrowthSampleGrid, a_points=(),
@@ -211,8 +197,8 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
     grids the same situation is an error naming the offending point.  A
     classification passes its Psi table as ``table``.
     """
-    if a <= 1.0:
-        raise ValueError(f"amplification factor must exceed 1, got {a}")
+    if not 1.0 < a < math.inf:  # NaN fails too
+        raise ValueError(f"amplification factor must lie in (1, inf), got {a}")
     table = _table_for(psi, grid, (a,), table)
     up = table.log_psi[0, a]
     lx = table.series[0]
@@ -231,8 +217,7 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
     ratio = up - 2.0 * table.log_psi[0, 1.0][:n]
     t0 = _tail_index(n)
     slope = _lsq_slope(lx[t0:], ratio[t0:])
-    tail_max = float(ratio[t0:].max())
-    tail_sup = math.exp(tail_max) if tail_max <= 709.0 else math.inf
+    tail_sup = exp_or_inf(float(ratio[t0:].max()))
     detail = f"dropped {dropped} anchor(s) beyond trusted range" if dropped else ""
     return QuotientEstimate(
         a=float(a),
@@ -257,7 +242,7 @@ def _factor_sweep(table, factors, series, floor):
     for factor in factors:
         held, usable = True, False
         worst, tail = math.inf, ()
-        for i in range(1, len(table.series)):
+        for i in table.subgrids:
             up = table.log_psi[i, factor]
             n = len(up)
             t0 = _tail_index(n)
@@ -371,7 +356,8 @@ def _smallest_power_bound(table: _PsiTable):
     tail slope of log Psi - q log x above SLOPE_TOL.  That slope is the tail
     slope of log Psi less q, so one fit per tail decides every q."""
     slopes = []
-    for i, s in enumerate(table.series[1:], 1):
+    for i in table.subgrids:
+        s = table.series[i]
         t0 = _tail_index(len(s))
         if len(s) >= 2:
             slopes.append(_lsq_slope(s[t0:], table.log_psi[i, 1.0][t0:]))
@@ -454,10 +440,7 @@ def classify_injection(
         assert all(e.trend in (TREND_BOUNDED, TREND_DOWN) for e in estimates)
         assert any(e.trend == TREND_BOUNDED for e in estimates)
 
-    finite_sups = [e.tail_sup for e in estimates if math.isfinite(e.tail_sup)]
-    uniformly_bounded = len(finite_sups) == len(estimates) and (
-        max(finite_sups) <= 1e8 if finite_sups else False
-    )
+    uniformly_bounded = bool(estimates) and all(e.tail_sup <= 1e8 for e in estimates)
     sup_consistent = not (uniformly_bounded and any(e.trend == TREND_UP for e in estimates))
     if not sup_consistent:
         notes.append("tail suprema bounded uniformly in A yet some trend diverges")

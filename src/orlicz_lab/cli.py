@@ -91,14 +91,13 @@ def _parse_arg(text: str, key: str, **extra):
 
 
 def _emit(payload: str, output: str | None):
+    payload += "" if payload.endswith("\n") else "\n"
     if output:
         d = os.path.dirname(os.path.abspath(output))
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-                if not payload.endswith("\n"):
-                    fh.write("\n")
             os.replace(tmp, output)
         except BaseException:
             if os.path.exists(tmp):
@@ -106,8 +105,6 @@ def _emit(payload: str, output: str | None):
             raise
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _default_format(fmt: str | None) -> str:
@@ -147,8 +144,7 @@ def cmd_classify(args) -> int:
             "quotient trends:",
         ]
         for q in report.q_a_table:
-            sup = f"{q.tail_sup:.6g}" if q.tail_sup != float("inf") else "inf"
-            lines.append(f"  A={q.a:<4g} trend={q.trend:<20s} tail_sup={sup}")
+            lines.append(f"  A={q.a:<4g} trend={q.trend:<20s} tail_sup={q.tail_sup:.6g}")
         lines.append("conditions:")
         for c in report.conditions:
             lines.append(f"  {c.condition:<18s} {c.holds:<13s} slope={c.trend_slope:.4g}")

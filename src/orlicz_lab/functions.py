@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .logdomain import (LOG_DBL_MAX, _log1p_exp_inplace, _log_expm1_inplace, log1p_exp, log_add,
+from .logdomain import (_log1p_exp_inplace, _log_expm1_inplace, exp_or_inf, log1p_exp, log_add,
                         log_diff, log_expm1)
 
 CONVEXITY_TOL = 1e-9
@@ -119,8 +119,7 @@ class OrliczFunction:
     # -- default hooks ------------------------------------------------------
 
     def _eval(self, x):
-        ly = float(self.eval_log(math.log(x)))
-        return math.inf if ly > LOG_DBL_MAX else math.exp(ly)
+        return exp_or_inf(float(self.eval_log(math.log(x))))
 
     def _inverse(self, y):
         return math.exp(float(self.inverse_log(math.log(y))))
@@ -621,16 +620,20 @@ def build_counterexample(n_max: int = 4, r: float = 4.0) -> PiecewiseAffine:
 REQUIRED = object()
 
 
-def _number(v) -> float:
-    """A JSON number: a bool or a numeric string is refused."""
+def _number(v, finite: bool = True) -> float:
+    """A JSON number: a bool or a numeric string is refused, and so are NaN
+    and the infinities unless ``finite`` is false."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"expected a number, got {v!r}")
+    if finite and not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
 def _integer(v) -> int:
     """A JSON number with a finite, integral value."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or _number(v).is_integer()):
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or _number(v, finite=False).is_integer()):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 

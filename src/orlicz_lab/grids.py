@@ -19,6 +19,12 @@ from .functions import OrliczFunction
 DEFAULT_A_POINTS = (1.5, 2.0, 4.0, 8.0)
 
 
+def anchor_window(psi: OrliczFunction, anchor_logs) -> np.ndarray:
+    """The anchor logs of psi, sorted, up to log of its domain_hint[1]."""
+    lx = np.sort(anchor_logs)
+    return lx[lx <= math.log(psi.domain_hint[1]) + 1e-12]
+
+
 @dataclass(frozen=True)
 class GrowthSampleGrid:
     """Positive abscissas plus amplification factors A > 1.
@@ -35,10 +41,10 @@ class GrowthSampleGrid:
         xs = np.asarray(self.x_points, dtype=float)
         if len(xs) == 0:
             raise ValueError("grid needs at least one x point")
-        if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-            raise ValueError("x_points must be positive and strictly increasing")
-        if any(a <= 1.0 for a in self.a_points):
-            raise ValueError("all amplification factors must exceed 1")
+        if not np.all((xs > 0.0) & (xs < math.inf)) or np.any(np.diff(xs) <= 0):  # NaN fails
+            raise ValueError("x_points must be positive, finite and strictly increasing")
+        if not all(1.0 < a < math.inf for a in self.a_points):  # NaN fails too
+            raise ValueError(f"amplification factors must lie in (1, inf), got {self.a_points}")
         object.__setattr__(self, "x_points", tuple(xs.tolist()))
         object.__setattr__(self, "a_points", tuple(float(a) for a in self.a_points))
         log_x = np.log(xs)
@@ -67,30 +73,26 @@ class GrowthSampleGrid:
         A window or point count asked for explicitly is used as given or
         refused: an anchored grid has no window, and x_lo must lie below x_hi.
         """
-        anchors = psi.growth_anchor_logs()
-        hint_lo, hint_hi = psi.domain_hint
-        if include_knots and len(anchors) >= 2:
-            lx = np.sort(anchors)
-            keep = lx <= math.log(hint_hi) + 1e-12
-            lx = lx[keep]
-            if len(lx) >= 2:
-                if (x_lo, x_hi, n_points) != (None, None, None):
-                    raise ValueError(
-                        f"{psi.label} is classified on its knot anchors; x_lo, x_hi"
-                        " and n_points apply only to a grid without knots"
-                    )
-                return cls(
-                    x_points=np.exp(lx),
-                    a_points=tuple(a_points),
-                    anchored=True,
+        lx = anchor_window(psi, psi.growth_anchor_logs())
+        if include_knots and len(lx) >= 2:
+            if (x_lo, x_hi, n_points) != (None, None, None):
+                raise ValueError(
+                    f"{psi.label} is classified on its knot anchors; x_lo, x_hi"
+                    " and n_points apply only to a grid without knots"
                 )
+            return cls(
+                x_points=np.exp(lx),
+                a_points=tuple(a_points),
+                anchored=True,
+            )
+        hint_lo, hint_hi = psi.domain_hint
         a_max = max(a_points)
         cap_log = psi.trusted_log_hi - math.log(a_max)
         hi = x_hi if x_hi is not None else min(hint_hi, 1e6, math.exp(min(cap_log, 700.0)))
         lo = x_lo if x_lo is not None else max(hint_lo, 1.0)
-        if lo >= hi:
+        if not 0.0 < lo < hi < math.inf:  # NaN fails too
             if x_lo is not None or x_hi is not None:
-                raise ValueError(f"x_lo={lo:g} must be below x_hi={hi:g}")
+                raise ValueError(f"x_lo={lo:g} must be below x_hi={hi:g}, both positive and finite")
             lo = hi / 1e3
         return cls(
             x_points=np.geomspace(lo, hi, 200 if n_points is None else n_points),

@@ -2,13 +2,22 @@
 
 Knot values of the piecewise constructions reach ~1e188, far beyond what can
 be combined safely in linear double arithmetic, so sums and differences of
-positive quantities are carried out on their logarithms.
+positive quantities are carried out on their logarithms.  A log-magnitude
+returns to the linear domain through ``exp_or_inf``, the one cut to
+infinity past ``LOG_DBL_MAX``.
 """
+
+import math
 
 import numpy as np
 
 # log of the largest finite double, rounded down slightly
 LOG_DBL_MAX = 709.0
+
+
+def exp_or_inf(log_v: float) -> float:
+    """exp(log_v), or inf when log_v exceeds LOG_DBL_MAX or is NaN."""
+    return math.exp(log_v) if log_v <= LOG_DBL_MAX else math.inf
 
 
 def log_add(a, b):

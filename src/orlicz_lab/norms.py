@@ -40,7 +40,7 @@ import numpy as np
 
 from .domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
-from .logdomain import LOG_DBL_MAX, _log_sum_inplace
+from .logdomain import _log_sum_inplace, exp_or_inf
 from .records import Record
 
 TOL_MODULAR = 1e-9
@@ -101,16 +101,12 @@ def _log_modular(psi, log_av, log_w, log_c):
     return _log_sum_inplace(t)
 
 
-def _exp_modular(log_m):
-    return math.exp(log_m) if log_m <= LOG_DBL_MAX else math.inf
-
-
 def modular_from_values(psi: OrliczFunction, abs_values, weights, c: float) -> float:
     """Integral of Psi(|f|/c) against the weights; +inf when it leaves double
     range even in the log domain.  Non-finite samples raise ValueError."""
     if not c > 0:  # a NaN scale fails this test too
         raise ValueError(f"the modular scale c must be positive, got {c!r}")
-    return _exp_modular(_log_modular(psi, *_log_samples(abs_values, weights), math.log(c)))
+    return exp_or_inf(_log_modular(psi, *_log_samples(abs_values, weights), math.log(c)))
 
 
 def modular(f, psi: OrliczFunction, dom, c: float) -> float:
@@ -142,6 +138,8 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
     log_peak = float(np.max(log_av))
     # Psi(mean|f|/C) <= M(C) <= Psi(max|f|/C) for convex Psi and total mass 1
     log_inv1 = float(psi.inverse_log(0.0))
+    if not math.isfinite(log_inv1):  # Psi(0+) >= 1 would put both ends at +inf
+        raise ValueError(f"{psi.label}: log Psi^-1(1) is {log_inv1!r}, not finite")
     s_lo = _log_sum_inplace(log_av + log_w) - log_inv1 - 1e-9
     s_hi = log_peak - log_inv1 + 1e-9
     for _ in range(_BRACKET_STEPS):
@@ -162,7 +160,7 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
     else:
         c_hi = math.exp(s_hi)
         return _Root(c_hi, (math.exp(s_lo), math.inf), _BRACKET_STEPS,
-                     _exp_modular(g(s_hi)), False, log_peak)
+                     exp_or_inf(g(s_hi)), False, log_peak)
 
     iters = 0
     converged = False
@@ -175,7 +173,7 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
             if s_lo < secant < s_hi:
                 s = secant
         g_s = g(s)
-        m = _exp_modular(g_s)
+        m = exp_or_inf(g_s)
         if abs(m - 1.0) <= TOL_MODULAR:
             value = math.exp(s)
             return _Root(value, (value, value), iters, m, True, log_peak)
@@ -198,7 +196,7 @@ def _solve_logs(psi, log_av, log_w) -> _Root:
             break
     c_lo, c_hi = math.exp(s_lo), math.exp(s_hi)
     value = 0.5 * (c_lo + c_hi)
-    return _Root(value, (c_lo, c_hi), iters, _exp_modular(g(math.log(value))), converged,
+    return _Root(value, (c_lo, c_hi), iters, exp_or_inf(g(math.log(value))), converged,
                  log_peak)
 
 
@@ -213,24 +211,24 @@ def luxemburg_norms(f, psis, dom) -> tuple:
     roots = [_solve_logs(psi, *logs) for psi in psis]
     del logs  # the companion rule is sampled without the logs of this one
 
-    half, half_logs, out = None, None, []
+    half_logs, out = None, []  # the companion's logs, None when there is none
+    if any(0.0 < root.value < math.inf for root in roots):
+        try:
+            half = dom.half_resolution()
+        except ValueError:  # dom sits at the floors of its recipe
+            pass
+        else:
+            half_logs = _log_samples(*_samples(f, half))
     for psi, root in zip(psis, roots):
         value, m_at = root.value, root.modular
         flags = []
         if not root.converged:
             flags.append("not_converged")
         quad_err = 0.0
-        if value > 0.0 and math.isfinite(value):
-            if half is None:
-                try:
-                    half = dom.half_resolution()
-                except ValueError:  # dom sits at the floors of its recipe
-                    half = False
+        if 0.0 < value < math.inf:
             m_half = math.inf  # without a companion the estimate is infinite
-            if half:
-                if half_logs is None:
-                    half_logs = _log_samples(*_samples(f, half))
-                m_half = _exp_modular(_log_modular(psi, *half_logs, math.log(value)))
+            if half_logs is not None:
+                m_half = exp_or_inf(_log_modular(psi, *half_logs, math.log(value)))
             if math.isfinite(m_half) and math.isfinite(m_at):
                 quad_err = abs(m_half - m_at)
             else:
@@ -329,7 +327,7 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
         rows = []
         for t, mu in zip(t_grid, measures):
             log_psi = float(psi.eval_log(math.log(cv * t)))
-            bound = math.exp(-log_psi) if -log_psi < 700 else math.inf
+            bound = exp_or_inf(-log_psi)
             flags = []
             if t > peak:
                 flags.append("beyond_node_max")
@@ -397,7 +395,7 @@ def morse_transue_evidence(f, psi: OrliczFunction, dom=None,
     diverging = []
     stabilizing = []
     for c in c_grid:
-        vals = [_exp_modular(_log_modular(psi, *lg, math.log(c))) for lg in logs]
+        vals = [exp_or_inf(_log_modular(psi, *lg, math.log(c))) for lg in logs]
         table[f"{c:g}"] = vals
         grows = all(
             (math.isinf(b) and not math.isinf(a)) or (math.isfinite(a) and b > a * 1.05)

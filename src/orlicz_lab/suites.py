@@ -223,6 +223,8 @@ def suite_carleson_window(h_grid=None) -> SuiteReport:
     checks = []
     dom = disk(1024, 256)
     for h in h_grid:
+        if 0.0 < h < 2.0**-20:  # below it both area formulas lose accuracy (ROADMAP)
+            raise ParameterRangeError(f"the carleson suite needs h >= 2**-20, got {h!r}")
         a_exact = carleson_window_area(h)
         a_quad = carleson_window_area_quadrature(h)
         checks.append(_check(
@@ -347,6 +349,8 @@ def suite_kernel_bounds(h_grid=(0.125, 0.03125, 0.0078125), psis=None,
     psis = tuple(psis) if psis is not None else (PowerFunction(2),)
     checks = []
     for h in h_grid:
+        if 0.0 < h < 2.0**-11:  # below it the suite fails its own checks (ROADMAP)
+            raise ParameterRangeError(f"the kernel suite needs h >= 2**-11, got {h!r}")
         family = make_kernel_family(h)
         n = family.n_funcs
         checks.append(_check(
@@ -446,7 +450,7 @@ def suite_evaluation_bounds(psi: OrliczFunction | None = None, x_values=(10.0, 5
         ))
         # the upper bound for the witness itself, normalized by its computed norm
         for rad in (0.0, 0.5, 0.9, 1.0 - h):
-            bound = 4.0 * psi.inverse(1.0 / (1.0 - rad)) if rad > 0 else 4.0 * psi.inverse(1.0)
+            bound = 4.0 * psi.inverse(1.0 / (1.0 - rad))
             got = abs(complex(f.values(np.array([rad]))[0])) / hn.value
             checks.append(_check(
                 f"evaluation ceiling at |z|={rad:g}, x_j={x_j:g}",

@@ -160,7 +160,10 @@ def make_monomial(n: int) -> Monomial:
 
 
 def make_polynomial(coeffs) -> Polynomial:
-    return Polynomial(tuple(complex(c) for c in coeffs))
+    coeffs = tuple(complex(c) for c in coeffs)
+    if not coeffs:
+        raise ValueError("a polynomial needs at least one coefficient")
+    return Polynomial(coeffs)
 
 
 def make_kernel_squared(h: float, xi_angle: float = 0.0) -> KernelSquared:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from orlicz_lab.functions import (
     scale_argument,
     square_compose,
 )
-from orlicz_lab.grids import GrowthSampleGrid
+from orlicz_lab.grids import DEFAULT_A_POINTS, GrowthSampleGrid
 
 
 def anchored_grid(psi, a_points=(1.5, 2.0, 4.0, 8.0)):
@@ -231,7 +232,8 @@ def test_smallest_power_bound_matches_one_fit_per_q(psi):
     # the reference: for each q, a fit of log Psi - q log x on every tail
     table = _PsiTable(psi, GrowthSampleGrid.default_for(psi))
     tails = []
-    for i, s in enumerate(table.series[1:], 1):
+    for i in table.subgrids:
+        s = table.series[i]
         t0 = _tail_index(len(s))
         if len(s) >= 2:
             tails.append((s[t0:], table.log_psi[i, 1.0][t0:]))
@@ -363,17 +365,17 @@ def test_classification_evaluates_psi_once(monkeypatch, psi):
 
 
 def test_dense_table_evaluates_each_point_set_once(monkeypatch):
-    # a dense grid's "grid" subgrid is series 0 itself: its shifts by 1, 2, 4
-    # and 8 are evaluated once and shared, leaving the 257 nabla points, six
-    # shifts of the 200 grid points and five of the 199 midpoints
+    # a dense grid's condition checks read series 0 itself: its shifts by 1,
+    # 2, 4 and 8 serve the quotients and the checks alike, leaving the 257
+    # nabla points, six shifts of the 200 grid points and five of the 199
+    # midpoints
     psi = PowerFunction(3.3)
     grid = GrowthSampleGrid.default_for(psi)
     calls = _counted_eval_log(monkeypatch, psi)
     table = _PsiTable(psi, grid, grid.a_points)
     assert calls == [257 + 6 * 200 + 5 * 199]
-    assert table.series[1] is table.series[0]
-    for f in (1.0, 2.0, 4.0, 8.0):
-        assert table.log_psi[1, f] is table.log_psi[0, f]
+    assert table.subgrids == [0, 1] and len(table.series) == 2
+    assert sorted(f for i, f in table.log_psi if i == 0) == [1.0, 1.5, 2.0, 4.0, 8.0, 16.0]
     for (i, f), values in table.log_psi.items():
         t = table.series[i] + math.log(f)
         assert np.array_equal(values, psi.eval_log(t[:len(values)]))
@@ -480,3 +482,51 @@ def test_dense_extrapolation_message_is_unchanged():
     with pytest.raises(ExtrapolationError) as info:
         classify_injection(psi, bad)
     assert str(info.value) == message(first_a)
+
+
+def test_anchored_table_checks_read_the_anchor_series_only():
+    # series 0 serves the quotients; the checks read the primary and
+    # secondary knots and the midpoints, from the one anchor window
+    psi = build_counterexample(4)
+    grid = GrowthSampleGrid.default_for(psi)
+    table = _PsiTable(psi, grid, grid.a_points)
+    assert grid.anchored and table.subgrids == [1, 2, 3] and len(table.series) == 4
+    assert np.array_equal(np.exp(table.series[1]), grid.x_points)
+    # the window ends at domain_hint[1] = x_4, so it cuts the secondary knot 2 x_4
+    assert np.array_equal(table.series[2], psi.secondary_anchor_logs()[:3])
+    assert sorted(f for i, f in table.log_psi if i == 0) == [1.0, 1.5, 2.0, 4.0, 8.0]
+    for i in table.subgrids:
+        assert sorted(f for j, f in table.log_psi if j == i) == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, -math.inf, math.nan, math.inf])
+def test_estimate_quotient_refuses_a_factor_outside_one_to_infinity(a):
+    psi = PowerFunction(2)
+    with pytest.raises(ValueError, match=r"must lie in \(1, inf\), got"):
+        estimate_quotient(psi, a, GrowthSampleGrid.default_for(psi))
+
+
+@pytest.mark.parametrize("x_points, a_points", [
+    ((1.0, math.inf), DEFAULT_A_POINTS),
+    ((math.nan, 2.0), DEFAULT_A_POINTS),
+    ((1.0, 2.0, math.nan), DEFAULT_A_POINTS),
+    ((-math.inf, 1.0), DEFAULT_A_POINTS),
+    ((0.0, 1.0), DEFAULT_A_POINTS),
+    ((1.0, 2.0), DEFAULT_A_POINTS + (math.nan,)),
+    ((1.0, 2.0), DEFAULT_A_POINTS + (math.inf,)),
+    ((1.0, 2.0), DEFAULT_A_POINTS + (1.0,)),
+])
+def test_grid_refuses_points_and_factors_that_are_not_finite(x_points, a_points):
+    with pytest.raises(ValueError, match="must be positive, finite|must lie in"):
+        GrowthSampleGrid(x_points=x_points, a_points=a_points)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"x_hi": math.inf}, "x_hi=inf"),
+    ({"x_lo": math.nan}, "x_lo=nan"),
+    ({"x_lo": 0.0}, "x_lo=0 "),
+    ({"a_points": DEFAULT_A_POINTS + (math.inf,)}, "inf)"),
+])
+def test_default_grid_names_a_window_or_factor_it_refuses(kwargs, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        GrowthSampleGrid.default_for(PowerFunction(2), **kwargs)

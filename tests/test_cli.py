@@ -149,6 +149,11 @@ def test_a_malformed_spec_is_a_usage_error_that_names_the_field(capsys, option, 
     (("--function", "foo:3"), f"unknown function family 'foo'; expected one of {tuple(FAMILIES)}"),
     (("--function", "foo:[1"), f"unknown function family 'foo'; expected one of {tuple(FAMILIES)}"),
     (("--input", "bar:3"), f"unknown function form 'bar'; expected one of {tuple(FORMS)}"),
+    # a spec field that is not a finite number, and a polynomial without coefficients
+    (("--input", "constant:NaN"), "constant form field 'value': expected a finite number, got nan"),
+    (("--input", "polynomial:coeffs=[[1e309,0]]"),
+     "polynomial form field 'coeffs': expected a finite number, got inf"),
+    (("--input", "polynomial:coeffs=[]"), "a polynomial needs at least one coefficient"),
 ])
 def test_norm_usage_errors(capsys, argv, message):
     # a repeated option overrides the default given first
@@ -392,3 +397,26 @@ def _cli_into_closed_pipe(argv, read_first):
 def test_a_closed_pipe_is_not_an_error(argv, read_first):
     code, err = _cli_into_closed_pipe(argv, read_first)
     assert code == 0 and err == "", err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--x-hi", "inf"), "x_hi=inf"),
+    (("--x-lo", "nan"), "x_lo=nan"),
+    (("--a-list", "1.5,2,4,8,nan"), "got (1.5, 2.0, 4.0, 8.0, nan)"),
+    (("--a-list", "1.5,2,4,8,inf"), "got (1.5, 2.0, 4.0, 8.0, inf)"),
+])
+def test_classify_refuses_a_grid_value_that_is_not_finite(capsys, argv, named):
+    code, out, err = run_cli(capsys, "classify", "--function", "power:2", *argv,
+                             "--format", "json")
+    assert (code, out) == (64, "") and err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.parametrize("suite, h, message", [
+    ("carleson", "3e-9", "the carleson suite needs h >= 2**-20, got 3e-09"),
+    ("carleson", "1e-300", "the carleson suite needs h >= 2**-20, got 1e-300"),
+    ("kernel", "0.000244140625", "the kernel suite needs h >= 2**-11, got 0.000244140625"),
+    ("kernel", "0.0004", "the kernel suite needs h >= 2**-11, got 0.0004"),
+])
+def test_verify_h_below_the_suite_floor_is_a_usage_error(capsys, suite, h, message):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--h", h)
+    assert (code, out, err) == (64, "", f"error: {message}\n")

@@ -21,6 +21,7 @@ from orlicz_lab.functions import (
     scale_argument,
     square_compose,
 )
+from orlicz_lab.witnesses import parse_sampled_spec
 
 ALL_FAMILIES = [
     PowerFunction(1),
@@ -648,3 +649,45 @@ def test_piecewise_metadata():
     assert psi.secondary_anchor_logs().shape == (0,)
     assert psi.domain_hint == (4.0, 16.0)
     assert psi.family == "piecewise" and psi.label == "piecewise(3 knots)"
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "power", "p": INF},
+    {"family": "paper_counterexample", "r": NAN},
+    {"family": "paper_counterexample", "r": INF},
+    {"family": "piecewise", "knots": [[4, 16], [INF, 48]]},
+    {"family": "piecewise", "knots": [[4, 16], [8, NAN]]},
+    {"family": "piecewise", "knots": [[4, 16], [8, 48]], "tail_slope": INF},
+    {"form": "polynomial", "coeffs": [[1, 0], [0, NAN]]},
+    {"form": "polynomial", "coeffs": [[-INF, 0]]},
+    {"form": "constant", "value": NAN},
+    {"form": "kernel_squared", "h": NAN},
+    {"form": "kernel_squared", "h": 0.125, "xi_angle": INF},
+    {"form": "scaled_kernel", "x_j": INF},
+    {"form": "scaled_kernel", "x_j": 10.0, "xi_angle": NAN},
+])
+def test_every_spec_field_is_a_finite_number(spec):
+    with pytest.raises(ValueError, match="expected a finite number, got (nan|inf|-inf)$"):
+        if "family" in spec:
+            parse_function_spec(spec)
+        else:
+            parse_sampled_spec(spec, PowerFunction(2))
+
+
+@pytest.mark.parametrize("psi", [ExpLogSquared(), ExpMinusOne(),
+                                 scale_argument(build_counterexample(4), 3.0),
+                                 scale_argument(ExpMinusOne(), 0.5)], ids=lambda p: p.label)
+def test_the_default_eval_reads_no_nan_log(psi):
+    # the default _eval cuts log Psi to inf through exp_or_inf, which sends a
+    # NaN to inf too; the families that use it give no NaN at any finite x
+    for x in (5e-324, 1e-300, 1e-8, 1.0, 56.0, 1e8, 1e300, 1.7976931348623157e308):
+        ly = float(psi.eval_log(math.log(x)))
+        assert not math.isnan(ly)
+        if ly <= 709.0:
+            assert psi.eval(x) == math.exp(ly)
+        else:
+            with pytest.raises(EvaluationOverflow):
+                psi.eval(x)

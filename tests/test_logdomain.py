@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from orlicz_lab.functions import ExpMinusOne
-from orlicz_lab.logdomain import _log_sum_inplace, log1p_exp, log_add, log_diff, log_expm1, log_sum
+from orlicz_lab.logdomain import (LOG_DBL_MAX, _log_sum_inplace, exp_or_inf, log1p_exp, log_add,
+                                  log_diff, log_expm1, log_sum)
 
 
 def test_log_add_matches_linear():
@@ -155,3 +156,12 @@ def test_log1p_exp_edges_warn_nothing():
         out = log1p_exp(np.array([-np.inf, -745.0, 745.0, np.inf, np.nan]))
     assert out[0] == 0.0 and out[1] == 5e-324 and out[2] == 745.0
     assert out[3] == np.inf and np.isnan(out[4])
+
+
+def test_exp_or_inf_cuts_to_infinity_past_log_dbl_max():
+    assert exp_or_inf(0.0) == 1.0 and exp_or_inf(-math.inf) == 0.0
+    assert exp_or_inf(LOG_DBL_MAX) == math.exp(LOG_DBL_MAX) < math.inf
+    assert exp_or_inf(math.nextafter(LOG_DBL_MAX, math.inf)) == math.inf
+    # a NaN log reads as inf, which the modular, the quotient's tail_sup and
+    # the weak-tail bound rely on
+    assert exp_or_inf(math.inf) == math.inf and exp_or_inf(math.nan) == math.inf

@@ -9,12 +9,14 @@ from orlicz_lab.domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from orlicz_lab.functions import (
     ExpLogSquared,
     ExpMinusOne,
+    OrliczFunction,
+    PiecewiseAffine,
     PowerFunction,
     arg_square,
     build_counterexample,
     square_compose,
 )
-from orlicz_lab.logdomain import log_sum
+from orlicz_lab.logdomain import log1p_exp, log_expm1, log_sum
 from orlicz_lab.suites import suite_contraction
 from orlicz_lab import norms
 from orlicz_lab.norms import (
@@ -918,3 +920,61 @@ def test_hardy_samples_one_block_at_a_time(dom):
     f = _LargestCall(_polynomial(9, degree=3))
     hardy_norms(f, (P2,), dom=dom)
     assert 0 < f.points <= max(BLOCK, dom.size)
+
+
+class _OnePlusX(OrliczFunction):
+    """Psi(x) = 1 + x: Psi(0+) = 1, so Psi^-1(1) = 0 and its log is -inf."""
+
+    family = "one_plus_x"
+
+    def eval_log(self, log_x):
+        return log1p_exp(log_x)
+
+    def inverse_log(self, log_y):
+        return log_expm1(log_y)
+
+
+def test_a_psi_without_a_finite_inverse_at_one_is_refused():
+    # Jensen's bracket would start both ends at +inf and report inf as converged
+    with pytest.raises(ValueError, match=r"one_plus_x: log Psi\^-1\(1\) is -inf, not finite"):
+        luxemburg_norm(make_monomial(1), _OnePlusX(), circle(64))
+
+
+def test_the_solver_stops_on_a_closed_bracket_whose_modular_is_far_from_one():
+    # Psi jumps from 1/2 to 2 across [1, 1 + 2**-46]: the modular of the
+    # constant 1 crosses 1 inside a bracket far narrower than its tolerance,
+    # so the solve ends on the bracket width, not on |M - 1| <= TOL_MODULAR
+    psi = PiecewiseAffine([(1.0, 0.5), (1.0 + 2**-46, 2.0)])
+    res = luxemburg_norm(make_polynomial([1.0]), psi, circle(64))
+    lo, hi = res.bracket
+    assert res.converged and res.bisection_iters == 1
+    assert lo < res.value < hi and hi - lo <= norms.BRACKET_REL_TOL * hi
+    assert res.value == pytest.approx(0.99999999994, abs=1e-11)
+    assert res.modular_at_value == pytest.approx(5968.625, rel=1e-6)
+
+
+class _FiniteOnTheFirstRuleOnly:
+    """Finite samples on the first rule sampled, infinite ones on any later rule."""
+
+    analytic = False
+    label = "finite on the first rule only"
+
+    def __init__(self):
+        self.rules = 0
+
+    def values(self, z):
+        self.rules += 1
+        return np.full(np.shape(z), 1.0 if self.rules == 1 else np.inf)
+
+
+def test_a_non_finite_sample_on_the_companion_rule_still_raises():
+    # circle(64) is sampled in one block, its companion circle(32) in another
+    with pytest.raises(ValueError, match="32 of 32 sample values are not finite"):
+        luxemburg_norm(_FiniteOnTheFirstRuleOnly(), PowerFunction(2), circle(64))
+
+
+def test_weak_tail_bound_is_finite_up_to_the_double_range():
+    # log Psi(c t) = log(1e-307 * 32) ~ -703.4: the bound 1/Psi(c t) ~ 3.1e305
+    # is a double, and only a bound past the double range reads inf
+    out = weak_tail_check(make_monomial(1), PowerFunction(1), c=1e-307, t_grid=(32.0,))
+    assert out["rows"][0]["bound"] == pytest.approx(1.0 / (1e-307 * 32.0), rel=1e-12)

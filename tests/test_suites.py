@@ -22,6 +22,7 @@ from orlicz_lab.suites import (
     suite_monomial_decay,
     suite_order_boundedness,
 )
+from orlicz_lab.witnesses import ParameterRangeError
 
 
 def test_carleson_closed_form_frozen_value():
@@ -192,3 +193,23 @@ def test_check_with_a_named_failure_fails():
     assert list(c.extra) == ["a", "b", "failure"] and c.extra["failure"] == "x"
     assert (c.lhs, c.rhs, c.relation) == (1.0, 2.0, "<=")
     assert _check("d", "s", 1.0, 2.0, "<=", failure="x").extra == {"failure": "x"}
+
+
+def test_the_window_area_formulas_hold_down_to_the_carleson_floor():
+    # at h = 2**-20 both formulas still read the half-lens limit 1/2 of
+    # A/h^2 to 1e-5; below the floor they drift apart (see ROADMAP)
+    h = 2.0**-20
+    for area in (carleson_window_area(h), carleson_window_area_quadrature(h)):
+        assert area / (h * h) == pytest.approx(0.5, abs=1e-5)
+
+
+def test_the_carleson_suite_passes_at_its_floor_and_refuses_below_it():
+    assert suite_carleson_window(h_grid=(2.0**-20,)).overall_pass
+    with pytest.raises(ParameterRangeError, match=r"needs h >= 2\*\*-20, got 4.76837158203125e-07"):
+        suite_carleson_window(h_grid=(0.5, 2.0**-21))
+
+
+def test_the_kernel_suite_passes_at_its_floor_and_refuses_below_it():
+    assert suite_kernel_bounds(h_grid=(2.0**-11,)).overall_pass
+    with pytest.raises(ParameterRangeError, match=r"needs h >= 2\*\*-11, got 0.000244140625"):
+        suite_kernel_bounds(h_grid=(0.125, 2.0**-12))

@@ -206,3 +206,10 @@ def test_sampled_spec_fields_convert_as_before():
     assert p == Polynomial((1 + 2j, 0.5 + 0j))
     assert parse_sampled_spec({"form": "kernel_squared", "h": 0.25}) == KernelSquared(0.25, 0.0)
     assert parse_sampled_spec({"form": "constant", "value": 3}) == Polynomial((3 + 0j,))
+
+
+def test_a_polynomial_needs_a_coefficient():
+    with pytest.raises(ValueError, match="a polynomial needs at least one coefficient"):
+        make_polynomial([])
+    with pytest.raises(ValueError, match="a polynomial needs at least one coefficient"):
+        parse_sampled_spec({"form": "polynomial", "coeffs": []})
