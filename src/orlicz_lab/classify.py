@@ -212,7 +212,7 @@ def estimate_quotient(psi: OrliczFunction, a: float, grid: GrowthSampleGrid, *,
     lx = lx[:n]
     if n < 2:
         raise GridTooShortError(
-            f"A={a:g}: only {n} trusted grid points, need at least 2"
+            f"A={a:g}: only {n} trusted grid point{'' if n == 1 else 's'}, need at least 2"
         )
     ratio = up - 2.0 * table.log_psi[0, 1.0][:n]
     t0 = _tail_index(n)
@@ -370,23 +370,18 @@ def _smallest_power_bound(table: _PsiTable):
 
 
 def _verdict_from_trends(estimates) -> tuple[str, list[str]]:
-    notes = []
     by_a = sorted(estimates, key=lambda e: e.a)
     trends = [e.trend for e in by_a]
+    if TREND_UP not in trends:
+        return VERDICT_COMPACT if set(trends) <= {TREND_DOWN} else VERDICT_WEAK, []
     # the quotient is monotone in A, so divergence at a small A combined with
     # collapse at a larger A can only be a numerical artifact
-    for i, ei in enumerate(by_a):
-        for ej in by_a[i + 1:]:
-            if ei.trend == TREND_UP and ej.trend == TREND_DOWN:
-                notes.append(
-                    f"inconsistent trends: A={ei.a:g} diverges while A={ej.a:g} collapses"
-                )
-                return VERDICT_INCONCLUSIVE, notes
-    if any(t == TREND_UP for t in trends):
-        return VERDICT_NOT_WEAK, notes
-    if all(t == TREND_DOWN for t in trends):
-        return VERDICT_COMPACT, notes
-    return VERDICT_WEAK, notes
+    i = trends.index(TREND_UP)
+    down = next((e for e in by_a[i + 1:] if e.trend == TREND_DOWN), None)
+    if down is None:
+        return VERDICT_NOT_WEAK, []
+    return VERDICT_INCONCLUSIVE, [
+        f"inconsistent trends: A={by_a[i].a:g} diverges while A={down.a:g} collapses"]
 
 
 def check_a_points(a_points) -> None:
@@ -412,33 +407,16 @@ def classify_injection(
         grid = GrowthSampleGrid.default_for(psi)
     check_a_points(grid.a_points)
 
-    notes: list[str] = []
-    estimates = []
-    failures = []
-
+    estimates, failures = [], []
     table = _PsiTable(psi, grid, grid.a_points)
     for a in grid.a_points:
         try:
             estimates.append(estimate_quotient(psi, a, grid, table=table))
         except GridTooShortError as exc:
-            failures.append(f"A={a:g}: {exc}")
+            failures.append(str(exc))
     conditions = tuple(check_condition(psi, c, grid, table=table) for c in CONDITIONS)
     conj = check_conjugate_delta2(psi, grid, table=table)
-
-    if failures:
-        verdict = VERDICT_INCONCLUSIVE
-        notes.extend(failures)
-    else:
-        verdict, trend_notes = _verdict_from_trends(estimates)
-        notes.extend(trend_notes)
-
-    if verdict == VERDICT_COMPACT:
-        assert all(e.trend == TREND_DOWN for e in estimates)
-    if verdict == VERDICT_NOT_WEAK:
-        assert any(e.trend == TREND_UP for e in estimates)
-    if verdict == VERDICT_WEAK:
-        assert all(e.trend in (TREND_BOUNDED, TREND_DOWN) for e in estimates)
-        assert any(e.trend == TREND_BOUNDED for e in estimates)
+    verdict, notes = (VERDICT_INCONCLUSIVE, failures) if failures else _verdict_from_trends(estimates)
 
     uniformly_bounded = bool(estimates) and all(e.tail_sup <= 1e8 for e in estimates)
     sup_consistent = not (uniformly_bounded and any(e.trend == TREND_UP for e in estimates))

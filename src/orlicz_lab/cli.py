@@ -5,9 +5,9 @@ Four subcommands: ``classify`` runs the growth classifier on a function spec,
 suites, and ``report`` bundles a classification with the full suite battery.
 
 Exit codes: 0 for a pass or a definite verdict, 1 for a failing check,
-2 for an inconclusive verdict, 64 for usage errors.  Output format defaults
-to text on a terminal and json when piped; reports for a fixed seed and
-configuration are byte-identical across runs.
+2 for an inconclusive verdict, 64 for usage errors and out-of-range inputs.
+Output format defaults to text on a terminal and json when piped; reports
+for a fixed seed and configuration are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -164,15 +164,11 @@ def cmd_norm(args) -> int:
         raise UsageError("--n-theta and --n-radial must be at least 1")
     psi = _parse_arg(args.function, "family")
     f = _parse_arg(args.input, "form", psi=psi)
-    if args.space == "hardy":
-        result = hardy_norm(f, psi)
-    elif args.space == "bergman":
-        result = bergman_norm(f, psi)
-    elif args.space == "circle":
-        result = circle_norm(f, psi)
-    else:
-        dom = disk(args.n_theta or 512, args.n_radial or 128)
-        result = luxemburg_norm(f, psi, dom)
+    if args.space == "disk":
+        result = luxemburg_norm(f, psi, disk(args.n_theta or 512, args.n_radial or 128))
+    else:  # built per call, so a rebinding of this module's norms takes effect
+        result = {"hardy": hardy_norm, "bergman": bergman_norm,
+                  "circle": circle_norm}[args.space](f, psi)
     fmt = _default_format(args.format)
     if fmt == "json":
         _emit(result.to_json(), args.output)
@@ -199,10 +195,7 @@ def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     options = {"h_grid": (args.h,)} if args.h is not None else {}
-    try:
-        reports = [run_suite(name, seed=seed, **options) for name in names]
-    except ParameterRangeError as exc:
-        raise UsageError(str(exc)) from None
+    reports = [run_suite(name, seed=seed, **options) for name in names]
     fmt = _default_format(args.format)
     if fmt == "json":
         _emit(dumps([r.to_dict() for r in reports]), args.output)
@@ -213,8 +206,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     psi = _parse_arg(args.function, "family")
-    grid = GrowthSampleGrid.default_for(psi)
-    classification = classify_injection(psi, grid)
+    classification = classify_injection(psi)
     suites = run_all_suites(seed=DEFAULT_SEED if args.seed is None else args.seed)
     payload = {
         "classification": classification.to_dict(),
@@ -301,7 +293,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ParameterRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

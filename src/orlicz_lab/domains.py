@@ -180,14 +180,14 @@ class DiskDomain(_PolarRule):
     def kernel_refined(cls, scale: float, focus_angle: float = 0.0,
                        n_radial_base: int = 64, nodes_per_panel: int = 24) -> "DiskDomain":
         """Rule adapted to a kernel peaking at radius 1-scale, angle
-        focus_angle: geometric radial panels over [1-8*scale, 1] and angular
-        refinement around the peak."""
+        focus_angle: geometric radial panels over [1-8*scale, 1], cut at 0, and
+        angular refinement around the peak."""
         h = float(scale)
         if not (0.0 < h < 0.5):
             raise ValueError(f"kernel scale must lie in (0, 1/2), got {h}")
         split = 1.0 - 8.0 * h
-        edges = [max(split, 0.0), 1.0 - 4.0 * h, 1.0 - 2.0 * h, 1.0 - 1.5 * h,
-                 1.0 - h, 1.0 - 0.5 * h, 1.0 - 0.25 * h, 1.0]
+        edges = [max(e, 0.0) for e in (split, 1.0 - 4.0 * h, 1.0 - 2.0 * h, 1.0 - 1.5 * h,
+                                       1.0 - h, 1.0 - 0.5 * h, 1.0 - 0.25 * h, 1.0)]
         r, wr = _panel_chain(edges, nodes_per_panel)
         if split > 0.0:
             r0, w0 = gauss_legendre(n_radial_base, 0.0, split)

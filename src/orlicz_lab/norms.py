@@ -42,6 +42,7 @@ from .domains import BLOCK, CircleDomain, DiskDomain, circle, disk
 from .functions import OrliczFunction
 from .logdomain import _log_sum_inplace, exp_or_inf
 from .records import Record
+from .witnesses import ParameterRangeError
 
 TOL_MODULAR = 1e-9
 BRACKET_REL_TOL = 1e-8
@@ -226,13 +227,9 @@ def luxemburg_norms(f, psis, dom) -> tuple:
             flags.append("not_converged")
         quad_err = 0.0
         if 0.0 < value < math.inf:
-            m_half = math.inf  # without a companion the estimate is infinite
-            if half_logs is not None:
-                m_half = exp_or_inf(_log_modular(psi, *half_logs, math.log(value)))
-            if math.isfinite(m_half) and math.isfinite(m_at):
-                quad_err = abs(m_half - m_at)
-            else:
-                quad_err = math.inf
+            m_half = (math.inf if half_logs is None  # no companion rule: an infinite estimate
+                      else exp_or_inf(_log_modular(psi, *half_logs, math.log(value))))
+            quad_err = abs(m_half - m_at) if math.isfinite(m_at) else math.inf
             if quad_err > QUAD_REL_TOL * max(1.0, abs(m_at)):
                 # refinement moves the modular: the rule is not resolving the
                 # integrand (typical of functions outside the space, whose true
@@ -284,7 +281,7 @@ def bergman_norm(f, psi: OrliczFunction, dom: DiskDomain | None = None) -> NormR
 def hardy_norms(f, psis, *, dom: CircleDomain | None = None) -> tuple:
     """Hardy norm of an analytic f, the sup over r < 1 of the circle norm of
     the dilate f_r(z) = f(r z), one NormResult per Psi; a dom that is not a
-    CircleDomain raises ValueError.
+    CircleDomain raises ValueError, a non-analytic f ParameterRangeError.
 
     The supported analytic forms extend continuously to the closed disk, and
     for analytic f and convex increasing Psi the circle norm of f_r does not
@@ -292,7 +289,7 @@ def hardy_norms(f, psis, *, dom: CircleDomain | None = None) -> tuple:
     of f itself, reported with argmax_radius 1.
     """
     if not getattr(f, "analytic", False):
-        raise ValueError(f"{f.label} is not analytic; the circle-sup norm does not apply")
+        raise ParameterRangeError(f"{f.label} is not analytic; the circle-sup norm does not apply")
     results = luxemburg_norms(f, psis, _rule_of(dom or _circle_for(f), CircleDomain))
     return tuple(replace(res, argmax_radius=DEFAULT_RADII[0]) for res in results)
 
@@ -342,29 +339,20 @@ def weak_tail_check(f, psi: OrliczFunction, dom=None, c: float = 0.125,
             })
         return rows
 
+    def large_t_pass(rows):  # every row outside the small-t exemption passes
+        return all(r["passes"] for r in rows if "small_t_exemption" not in r["flags"])
+
     rows = tail_record(c)
-    scan = {}
-    largest = None
-    for cv in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        ok = all(
-            r["passes"]
-            for r in tail_record(cv)
-            if "small_t_exemption" not in r["flags"]
-        )
-        scan[f"{cv:g}"] = ok
-        if ok and largest is None:
-            largest = cv
+    scan = {cv: large_t_pass(tail_record(cv)) for cv in (1.0, 0.5, 0.25, 0.125, 0.0625)}
     return {
         "function": f.label,
         "psi": psi.label,
         "c": c,
         "rows": rows,
         "all_pass": all(r["passes"] for r in rows),
-        "large_t_pass": all(
-            r["passes"] for r in rows if "small_t_exemption" not in r["flags"]
-        ),
-        "largest_passing_c": largest,
-        "c_scan": scan,
+        "large_t_pass": large_t_pass(rows),
+        "largest_passing_c": next((cv for cv, ok in scan.items() if ok), None),
+        "c_scan": {f"{cv:g}": ok for cv, ok in scan.items()},
         "domain": dom.describe(),
     }
 

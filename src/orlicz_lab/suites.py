@@ -428,6 +428,13 @@ def suite_evaluation_bounds(psi: OrliczFunction | None = None, x_values=(10.0, 5
     psi = psi or PowerFunction(2)
     rng = np.random.default_rng(seed)
     checks = []
+
+    def ceilings(f, norm, radii, description, statement):
+        for rad in radii:  # point values normalized by the computed norm
+            got = abs(complex(f.values(np.array([rad]))[0])) / norm
+            checks.append(_check(description(rad), statement, got,
+                                 4.0 * psi.inverse(1.0 / (1.0 - rad)), "<=", tol=1e-9))
+
     for x_j in x_values:
         f = make_scaled_kernel(psi, x_j)
         h = 1.0 - f.r_j
@@ -448,27 +455,15 @@ def suite_evaluation_bounds(psi: OrliczFunction | None = None, x_values=(10.0, 5
             val, lower, ">=",
             extra={"h": h},
         ))
-        # the upper bound for the witness itself, normalized by its computed norm
-        for rad in (0.0, 0.5, 0.9, 1.0 - h):
-            bound = 4.0 * psi.inverse(1.0 / (1.0 - rad))
-            got = abs(complex(f.values(np.array([rad]))[0])) / hn.value
-            checks.append(_check(
-                f"evaluation ceiling at |z|={rad:g}, x_j={x_j:g}",
-                "normalized point values stay below 4 Psi^{-1}(1/(1-|z|))",
-                got, bound, "<=", tol=1e-9,
-            ))
+        ceilings(f, hn.value, (0.0, 0.5, 0.9, 1.0 - h),
+                 lambda rad: f"evaluation ceiling at |z|={rad:g}, x_j={x_j:g}",
+                 "normalized point values stay below 4 Psi^{-1}(1/(1-|z|))")
     circ = circle(512)
     for i, f in enumerate(_random_polynomials(rng, 10, 12)):
-        hn = hardy_norm(f, psi, dom=circ)
-        for rad in (0.0, 0.5, 0.9):
-            got = abs(complex(f.values(np.array([rad]))[0])) / hn.value
-            bound = 4.0 * psi.inverse(1.0 / (1.0 - rad))
-            checks.append(_check(
-                f"evaluation ceiling, random polynomial {i}, |z|={rad:g}",
-                "normalized point values of random unit-ball polynomials "
-                "stay below 4 Psi^{-1}(1/(1-|z|))",
-                got, bound, "<=", tol=1e-9,
-            ))
+        ceilings(f, hardy_norm(f, psi, dom=circ).value, (0.0, 0.5, 0.9),
+                 lambda rad: f"evaluation ceiling, random polynomial {i}, |z|={rad:g}",
+                 "normalized point values of random unit-ball polynomials "
+                 "stay below 4 Psi^{-1}(1/(1-|z|))")
     return _report(
         "evaluation",
         {"psi": psi.label, "x_values": list(x_values), "seed": seed},
@@ -502,15 +497,12 @@ def suite_counterexample(psi_counter=None) -> SuiteReport:
             xs[2], 175504, "==",
         ))
 
-    exact_ok = True
     if r == 4.0:
-        for n, x in enumerate(xs, start=1):
-            if psi.eval(float(x)) != float(x * x) or psi.eval(float(2 * x)) != float(x**4):
-                exact_ok = False
         checks.append(_check(
             "knot identities",
             "Psi(x_n) = x_n^2 and Psi(2 x_n) = x_n^4 exactly at every knot",
-            1.0 if exact_ok else 0.0, 1.0, "==",
+            all(psi.eval(float(x)) == float(x * x) and psi.eval(float(2 * x)) == float(x**4)
+                for x in xs), 1.0, "==",
         ))
 
     lo, hi = math.log(4.0), math.log(float(xs[-1]))
@@ -635,7 +627,7 @@ def suite_order_boundedness(psis=None) -> SuiteReport:
             f"weak tail holds at c=1/8, {psi.label}",
             "mu(S > t) <= 1/Psi(t/8) for t in the large-t window: the "
             "envelope lies in weak-L^Psi",
-            1.0 if ok["large_t_pass"] else 0.0, 1.0, "==",
+            ok["large_t_pass"], 1.0, "==",
             extra={"t_grid": list(t_grid), "largest_passing_c": ok["largest_passing_c"]},
         ))
         bad = weak_tail_check(env, psi, c=4.0, t_grid=t_grid)
@@ -645,7 +637,7 @@ def suite_order_boundedness(psis=None) -> SuiteReport:
             f"weak tail fails at c=4, {psi.label}",
             "mu(S > t) > 1/Psi(4t) for large t: the tail bound saturates, "
             "no constant above 4 can work",
-            1.0 if all_fail else 0.0, 1.0, "==",
+            all_fail, 1.0, "==",
             extra={"t_grid": list(t_grid)},
         ))
         mt = morse_transue_evidence(env, psi)
@@ -656,7 +648,7 @@ def suite_order_boundedness(psis=None) -> SuiteReport:
             f"envelope escapes the bounded-closure, {psi.label}",
             "the modular of S/4 is the integral of 1/(1-|z|), divergent: "
             "refinement makes it grow without stabilizing",
-            1.0 if (grows and monotone) else 0.0, 1.0, "==",
+            grows and monotone, 1.0, "==",
             extra={"modulars_at_c4": c4},
         ))
         grid = GrowthSampleGrid.default_for(psi)

@@ -18,7 +18,7 @@ from .functions import REQUIRED, OrliczFunction, _integer, _number, _pairs, read
 
 
 class ParameterRangeError(ValueError):
-    """A family or window parameter outside the range it is defined on."""
+    """An input outside the range a computation is defined on."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class EvaluationEnvelope:
         z = np.asarray(z)
         absz = np.abs(z)
         if np.any(absz >= 1.0):
-            raise ValueError("the evaluation envelope is defined on the open disk only")
+            raise ParameterRangeError("the evaluation envelope is defined on the open disk only")
         log_u = -np.log1p(-absz)
         out = 4.0 * np.exp(np.asarray(self.psi.inverse_log(log_u)))
         # Psi^{-1}(y) -> 0 as y -> 0 but inverse_log(-inf) would be nan

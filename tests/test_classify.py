@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -7,6 +8,10 @@ import pytest
 from orlicz_lab.classify import (
     CONDITIONS,
     SLOPE_TOL,
+    TREND_BOUNDED,
+    TREND_DOWN,
+    TREND_UP,
+    GridTooShortError,
     InjectionReport,
     QuotientEstimate,
     _lsq_slope,
@@ -530,3 +535,36 @@ def test_grid_refuses_points_and_factors_that_are_not_finite(x_points, a_points)
 def test_default_grid_names_a_window_or_factor_it_refuses(kwargs, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         GrowthSampleGrid.default_for(PowerFunction(2), **kwargs)
+
+
+def test_verdict_rule_over_every_trend_tuple():
+    a_points = (1.5, 2.0, 4.0, 8.0)
+    for trends in itertools.product((TREND_DOWN, TREND_BOUNDED, TREND_UP), repeat=4):
+        # listed out of A order: the rule reads the trends sorted by A
+        estimates = [QuotientEstimate(a=a, ratio_log=(), tail_sup=1.0, trend=t)
+                     for a, t in reversed(list(zip(a_points, trends)))]
+        verdict, notes = _verdict_from_trends(estimates)
+        ups = [i for i, t in enumerate(trends) if t == TREND_UP]
+        downs_after = [j for j, t in enumerate(trends) if t == TREND_DOWN and ups and j > ups[0]]
+        if verdict == "inconclusive":
+            assert notes == [f"inconsistent trends: A={a_points[ups[0]]:g} diverges"
+                             f" while A={a_points[downs_after[0]]:g} collapses"]
+            continue
+        assert notes == [] and not downs_after, trends
+        if verdict == "compact":
+            assert set(trends) == {TREND_DOWN}
+        elif verdict == "not_weakly_compact":
+            assert ups, trends
+        else:
+            assert verdict == "weakly_compact_not_compact", trends
+            assert TREND_UP not in trends and TREND_BOUNDED in trends
+
+
+def test_a_short_grid_names_its_trusted_points_in_number():
+    psi = build_counterexample(4)
+    x_top = float(counterexample_knot_points(4)[-1])
+    grid = GrowthSampleGrid(x_points=(x_top,), anchored=True)
+    for a, message in ((2.0, "A=2: only 1 trusted grid point, need at least 2"),
+                       (8.0, "A=8: only 0 trusted grid points, need at least 2")):
+        with pytest.raises(GridTooShortError, match=f"^{re.escape(message)}$"):
+            estimate_quotient(psi, a, grid)

@@ -420,3 +420,53 @@ def test_classify_refuses_a_grid_value_that_is_not_finite(capsys, argv, named):
 def test_verify_h_below_the_suite_floor_is_a_usage_error(capsys, suite, h, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--h", h)
     assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+NORM_INPUTS = ("monomial:1", "polynomial:coeffs=[[1,0],[0,1]]", "const:3",
+               "kernel_squared:h=0.03125", "kernel_squared:h=0.3", "kernel_squared:h=0.45",
+               "scaled_kernel:1.6", "scaled_kernel:4", "evaluation_envelope")
+
+
+@pytest.mark.parametrize("space", ("hardy", "bergman", "circle", "disk"))
+def test_norm_over_every_space_input_and_function_ends_in_a_value_or_a_message(capsys, space):
+    for spec in NORM_INPUTS:
+        for function in ("power:2", "exp_minus_one", "paper_counterexample:4"):
+            cell = (space, spec, function)
+            code, out, err = run_cli(capsys, "norm", "--space", space, "--function", function,
+                                     "--input", spec, "--format", "text")
+            if code == 64:
+                assert out == "" and err.startswith("error: "), cell
+            else:
+                assert code in (0, 1) and err == "", cell
+                assert math.isfinite(float(out.split("\n")[0])), cell
+
+
+@pytest.mark.parametrize("space", ("bergman", "disk"))
+@pytest.mark.parametrize("spec, exact", [
+    ("kernel_squared:h=0.3", 0.3 / 1.7),  # h/(2-h)
+    ("kernel_squared:h=0.45", 0.45 / 1.55),
+    ("scaled_kernel:1.6", 1.6 * 0.390625 / 1.609375),  # x_j (1-r_j)/(1+r_j), r_j = 1-1/2.56
+])
+def test_bergman_norm_of_a_wide_kernel_is_its_closed_form(capsys, space, spec, exact):
+    code, out, _ = run_cli(capsys, "norm", "--space", space, "--function", "power:2",
+                           "--input", spec, "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("space, message", [
+    ("hardy", "evaluation_envelope(power(p=2)) is not analytic; the circle-sup norm does not apply"),
+    ("circle", "the evaluation envelope is defined on the open disk only"),
+])
+def test_boundary_norm_of_the_envelope_is_a_usage_error(capsys, space, message):
+    code, out, err = run_cli(capsys, "norm", "--space", space, "--function", "power:2",
+                             "--input", "evaluation_envelope")
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+def test_a_short_grid_note_names_its_factor_once(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--function", "power:2", "--points", "1",
+                           "--format", "text")
+    notes = [line for line in out.split("\n") if line.startswith("note: ")]
+    assert code == 2
+    assert notes == [f"note: A={a}: only 1 trusted grid point, need at least 2"
+                     for a in ("1.5", "2", "4", "8")]

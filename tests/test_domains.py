@@ -11,7 +11,8 @@ def test_weights_normalized():
     d = disk(128, 64)
     assert abs(np.sum(d.weights()) - 1.0) <= 1e-12
     assert abs(np.sum(DiskDomain.boundary_refined().weights()) - 1.0) <= 1e-12
-    assert abs(np.sum(DiskDomain.kernel_refined(1.0 / 32.0).weights()) - 1.0) <= 1e-12
+    for h in (1.0 / 32.0, 0.3, 0.45):
+        assert abs(np.sum(DiskDomain.kernel_refined(h).weights()) - 1.0) <= 1e-12
     assert abs(np.sum(CircleDomain.refined(0.0, 0.01).weights) - 1.0) <= 1e-12
 
 

@@ -38,6 +38,7 @@ from orlicz_lab.norms import (
     weak_tail_check,
 )
 from orlicz_lab.witnesses import (
+    ParameterRangeError,
     make_evaluation_envelope,
     make_kernel_squared,
     make_monomial,
@@ -185,8 +186,17 @@ def test_hardy_monomial_constant():
 
 def test_hardy_rejects_non_analytic():
     env = make_evaluation_envelope(P2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRangeError, match="is not analytic"):
         hardy_norm(env, P2)
+
+
+@pytest.mark.parametrize("h", (0.3, 0.45))
+def test_bergman_norm_of_a_kernel_wider_than_a_quarter(h):
+    # the radial panels below 1 - 4h are cut at 0, not dropped into r < 0
+    assert bergman_norm(make_kernel_squared(h), P2).value == pytest.approx(h / (2.0 - h), rel=1e-9)
+    f = make_scaled_kernel(P2, 1.6)  # r_j = 1 - 1/2.56, so its scale 1 - r_j exceeds 1/4
+    exact = f.x_j * (1.0 - f.r_j) / (1.0 + f.r_j)
+    assert bergman_norm(f, P2).value == pytest.approx(exact, rel=1e-9)
 
 
 def test_hardy_scaled_kernel_unit_ball():

@@ -11,6 +11,7 @@ from orlicz_lab.norms import _samples
 from orlicz_lab.witnesses import (
     KernelSquared,
     Monomial,
+    ParameterRangeError,
     Polynomial,
     make_evaluation_envelope,
     make_kernel_family,
@@ -157,8 +158,9 @@ def test_envelope_radial_and_monotone():
     assert np.all(np.diff(v) > 0)
     rotated = env.values(r * np.exp(0.7j))
     assert np.allclose(np.abs(v), np.abs(rotated))
-    with pytest.raises(ValueError):
-        env.values(np.array([1.0]))
+    for z in (1.0, 1.5j):  # a range refusal, which the command line maps to exit 64
+        with pytest.raises(ParameterRangeError, match="defined on the open disk only"):
+            env.values(np.array([z]))
 
 
 def test_sampled_spec_parsing():
